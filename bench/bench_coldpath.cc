@@ -31,6 +31,7 @@
 
 #include "analysis/intern.h"
 #include "analysis/snapshot.h"
+#include "corpus/sections.h"
 #include "facile/component.h"
 #include "support/stats.h"
 
@@ -54,18 +55,16 @@ suiteBatch()
 std::uint64_t
 predictionDigest(const std::vector<model::Prediction> &preds)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    corpus::Xxh64State h;
     for (const model::Prediction &p : preds) {
-        h = analysis::fnv1a64(
-            reinterpret_cast<const std::uint8_t *>(&p.throughput), 8, h);
-        h = analysis::fnv1a64(
-            reinterpret_cast<const std::uint8_t *>(p.componentValue.data()),
-            sizeof(double) * p.componentValue.size(), h);
+        h.update(&p.throughput, sizeof p.throughput);
+        h.update(p.componentValue.data(),
+                 sizeof(double) * p.componentValue.size());
         const std::uint8_t b =
             static_cast<std::uint8_t>(p.primaryBottleneck);
-        h = analysis::fnv1a64(&b, 1, h);
+        h.update(&b, 1);
     }
-    return h;
+    return h.digest();
 }
 
 /**
@@ -102,12 +101,12 @@ startupProbe(const char *snapshotPath)
 }
 
 /**
- * Child mode (--startup-probe-loadonly SNAPSHOT): the load-cost half
- * of the v1-vs-v2 format comparison. Times only the snapshot load and
- * the first single-block prediction after it — the quantity the
- * mmap-native v2 format optimizes (O(pages touched) instead of
- * O(records)) — and prints the load mode the loader actually took
- * plus a bit-exact digest of that prediction.
+ * Child mode (--startup-probe-loadonly SNAPSHOT|-): the load-cost
+ * probe. Times only the snapshot load and the first single-block
+ * prediction after it — the quantity the bound image optimizes
+ * (O(pages touched) instead of O(records)) — and prints the load mode
+ * the loader actually took plus a bit-exact digest of that
+ * prediction. With "-" nothing is loaded: the cold reference.
  */
 int
 startupProbeLoadOnly(const char *snapshotPath)
@@ -117,8 +116,9 @@ startupProbeLoadOnly(const char *snapshotPath)
     engine::PredictionEngine eng(opts);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const analysis::SnapshotStats ss =
-        analysis::loadSnapshot(snapshotPath, {&eng});
+    analysis::SnapshotStats ss;
+    if (std::strcmp(snapshotPath, "-") != 0)
+        ss = analysis::loadSnapshot(snapshotPath, {&eng});
     const auto t1 = std::chrono::steady_clock::now();
     const double loadMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -459,41 +459,34 @@ main(int argc, char **argv)
     // describing the timed rounds above.
     const analysis::InternStats st = analysis::InstInterner::statsAllArchs();
 
-    // Snapshot v2 vs v1 load cost, in fresh child processes: v1 pays a
-    // record-by-record parse (O(records)); v2 mmaps the image and
-    // materializes records on first touch (O(pages touched)). Each
-    // format is probed best-of-3 with a load-only child that times the
-    // load plus the first single-block prediction, and the two
-    // children's first predictions must be bit-identical. A second
-    // pair of probes against a synthetically ~100x larger instruction
-    // universe (distinct MOV r32,imm32 encodings, SKL only; ~10x in
-    // quick mode) checks that the v2 load cost stays roughly flat
-    // while v1 scales with the record count.
-    double v1LoadMs = 0.0, v2LoadMs = 0.0, v2FirstMs = 0.0;
-    double v1Load100Ms = 0.0, v2Load100Ms = 0.0, universeScale = 0.0;
-    double v2LoadSpeedup = 0.0;
-    bool v2Measured = false, v2Measured100 = false;
-    bool v2Sublinear = false, v2FirstIdentical = false;
+    // Snapshot load cost, in fresh child processes: the load binds the
+    // image and materializes records on first touch (O(pages
+    // touched)). A load-only child times the load plus the first
+    // single-block prediction, best of 3, and that prediction must be
+    // bit-identical to a cold child's. A second probe against a
+    // synthetically ~100x larger instruction universe (distinct MOV
+    // r32,imm32 encodings, SKL only; ~10x in quick mode) checks that
+    // the load cost grows by well under the record-count growth.
+    double loadMs = 0.0, firstMs = 0.0, load100Ms = 0.0;
+    double universeScale = 0.0;
+    bool loadMeasured = false, loadMeasured100 = false;
+    bool sublinear = false, firstIdentical = false;
     {
-        const std::string pid = std::to_string(::getpid());
-        const std::string pathV1 = "facile_loadprobe_v1_" + pid + ".snap";
-        const std::string pathV2 = "facile_loadprobe_v2_" + pid + ".snap";
+        const std::string path =
+            "facile_loadprobe_" + std::to_string(::getpid()) + ".snap";
         // generations=1: plain atomic replace, nothing rotated to clean.
-        const analysis::SnapshotOptions v1Opts{
-            nullptr, 1, analysis::SnapshotFormat::V1};
-        const analysis::SnapshotOptions v2Opts{
-            nullptr, 1, analysis::SnapshotFormat::V2};
-        auto bestOf = [&](const std::string &snap, double &loadMs,
-                          double &firstMs, int &mode,
+        const analysis::SnapshotOptions opts{nullptr, 1};
+        auto bestOf = [&](const std::string &snap, double &bestLoadMs,
+                          double &bestFirstMs, int &mode,
                           std::uint64_t &digest) {
-            loadMs = firstMs = 1e300;
+            bestLoadMs = bestFirstMs = 1e300;
             bool ok = false;
             for (int i = 0; i < 3; ++i) {
                 double l = 0.0, f = 0.0;
                 if (runLoadOnlyProbe(argv[0], snap, l, f, mode, digest)) {
                     ok = true;
-                    loadMs = std::min(loadMs, l);
-                    firstMs = std::min(firstMs, f);
+                    bestLoadMs = std::min(bestLoadMs, l);
+                    bestFirstMs = std::min(bestFirstMs, f);
                 }
             }
             return ok;
@@ -506,31 +499,28 @@ main(int argc, char **argv)
             return n;
         };
         try {
-            analysis::saveSnapshot(pathV1, v1Opts);
-            analysis::saveSnapshot(pathV2, v2Opts);
-            int v1Mode = 0, v2Mode = 0;
-            std::uint64_t v1Digest = 0, v2Digest = 1;
-            double v1FirstMs = 0.0;
-            v2Measured = bestOf(pathV1, v1LoadMs, v1FirstMs, v1Mode,
-                                v1Digest) &&
-                         bestOf(pathV2, v2LoadMs, v2FirstMs, v2Mode,
-                                v2Digest);
-            if (v2Measured) {
-                v2FirstIdentical = v1Digest == v2Digest;
-                v2LoadSpeedup = v1LoadMs / std::max(v2LoadMs, 1e-3);
+            analysis::saveSnapshot(path, opts);
+            int coldMode = 0, mode = 0;
+            std::uint64_t coldDigest = 0, digest = 1;
+            double coldLoadMs = 0.0, coldFirstMs = 0.0;
+            loadMeasured =
+                bestOf("-", coldLoadMs, coldFirstMs, coldMode,
+                       coldDigest) &&
+                bestOf(path, loadMs, firstMs, mode, digest);
+            if (loadMeasured) {
+                firstIdentical = coldDigest == digest;
                 std::printf(
-                    "snapshot load (fresh process): v1 parse %.3f ms vs "
-                    "v2 mmap %.3f ms + first predict %.3f ms = %.2fx "
-                    "load speedup\n",
-                    v1LoadMs, v2LoadMs, v2FirstMs, v2LoadSpeedup);
-                if (v2Mode !=
-                    static_cast<int>(analysis::SnapshotLoadMode::MmapV2))
-                    std::printf("note: v2 probe took load mode %d, not "
-                                "the mmap path\n",
-                                v2Mode);
-                if (!v2FirstIdentical) {
-                    std::printf("first-predict bit identity (v1 vs v2 "
-                                "children): NO\n");
+                    "snapshot load (fresh process): bind %.3f ms + first "
+                    "predict %.3f ms vs cold first predict %.3f ms\n",
+                    loadMs, firstMs, coldFirstMs);
+                if (mode !=
+                    static_cast<int>(analysis::SnapshotLoadMode::Bound))
+                    std::printf("note: the load probe took load mode %d, "
+                                "not the bind\n",
+                                mode);
+                if (!firstIdentical) {
+                    std::printf("first-predict bit identity (cold vs "
+                                "warm children): NO\n");
                     identical = false;
                 }
             }
@@ -558,40 +548,28 @@ main(int argc, char **argv)
                            static_cast<double>(base)
                      : 0.0;
 
-            analysis::saveSnapshot(pathV1, v1Opts);
-            analysis::saveSnapshot(pathV2, v2Opts);
-            int m1 = 0, m2 = 0;
-            std::uint64_t d1 = 0, d2 = 0;
-            double f1 = 0.0, f2 = 0.0;
-            v2Measured100 = bestOf(pathV1, v1Load100Ms, f1, m1, d1) &&
-                            bestOf(pathV2, v2Load100Ms, f2, m2, d2);
-            if (v2Measured && v2Measured100) {
-                const double v1Growth =
-                    v1Load100Ms / std::max(v1LoadMs, 1e-3);
-                const double v2Growth =
-                    v2Load100Ms / std::max(v2LoadMs, 1e-3);
-                // Sublinear gate: scaling the universe ~100x must grow
-                // the v2 load cost by well under half of v1's growth
-                // factor on the same machine in the same run.
-                v2Sublinear = v2Growth < v1Growth / 2.0;
-                std::printf(
-                    "synthetic %.0fx universe: v1 parse %.3f ms (%.1fx "
-                    "growth) vs v2 mmap %.3f ms (%.1fx growth) -> v2 "
-                    "load scaling %s\n",
-                    universeScale, v1Load100Ms, v1Growth, v2Load100Ms,
-                    v2Growth,
-                    v2Sublinear ? "sublinear" : "NOT sublinear");
+            analysis::saveSnapshot(path, opts);
+            int m = 0;
+            std::uint64_t d = 0;
+            double f = 0.0;
+            loadMeasured100 = bestOf(path, load100Ms, f, m, d);
+            if (loadMeasured && loadMeasured100) {
+                const double growth = load100Ms / std::max(loadMs, 1e-3);
+                // Sublinear gate: the load cost must grow by less than
+                // a quarter of the record-count growth.
+                sublinear = growth < universeScale / 4.0;
+                std::printf("synthetic %.0fx universe: load %.3f ms "
+                            "(%.1fx growth) -> load scaling %s\n",
+                            universeScale, load100Ms, growth,
+                            sublinear ? "sublinear" : "NOT sublinear");
             }
-            if (!v2Measured || !v2Measured100)
+            if (!loadMeasured || !loadMeasured100)
                 std::printf("note: load-only probe children failed; "
-                            "skipping the rest of the v1-vs-v2 load "
-                            "round\n");
+                            "skipping the rest of the load round\n");
         } catch (const analysis::SnapshotError &e) {
-            std::printf("note: %s; skipping the v1-vs-v2 load round\n",
-                        e.what());
+            std::printf("note: %s; skipping the load round\n", e.what());
         }
-        std::remove(pathV1.c_str());
-        std::remove(pathV2.c_str());
+        std::remove(path.c_str());
     }
     const double hitRate = st.hitRate();
     bench::printRule();
@@ -648,22 +626,17 @@ main(int argc, char **argv)
         report.scalar("warm_start_speedup", warmSpeedup);
         report.boolean("warm_bit_identical", warmIdentical);
     }
-    if (v2Measured) {
-        report.scalar("snapshot_v1_parse_load_ms", v1LoadMs);
-        report.scalar("snapshot_v2_mmap_load_ms", v2LoadMs);
-        report.scalar("snapshot_v2_first_predict_ms", v2FirstMs);
-        report.scalar("v2_load_speedup", v2LoadSpeedup);
-        report.boolean("v2_load_speedup_met", v2LoadSpeedup >= 5.0);
-        report.boolean("v2_first_predict_identical", v2FirstIdentical);
+    if (loadMeasured) {
+        report.scalar("snapshot_v2_mmap_load_ms", loadMs);
+        report.scalar("snapshot_v2_first_predict_ms", firstMs);
+        report.boolean("v2_first_predict_identical", firstIdentical);
     }
-    if (v2Measured && v2Measured100) {
+    if (loadMeasured && loadMeasured100) {
         report.scalar("universe_scale", universeScale);
-        report.scalar("snapshot_v1_load_100x_ms", v1Load100Ms);
-        report.scalar("snapshot_v2_load_100x_ms", v2Load100Ms);
-        report.boolean("v2_load_sublinear", v2Sublinear);
+        report.scalar("snapshot_v2_load_100x_ms", load100Ms);
+        report.boolean("v2_load_sublinear", sublinear);
         report.row("snapshot_load_100x");
-        report.metric("v1_parse_ms", v1Load100Ms);
-        report.metric("v2_mmap_ms", v2Load100Ms);
+        report.metric("v2_mmap_ms", load100Ms);
     }
     report.boolean("bit_identical", identical);
     report.boolean("speedup_target_met", speedup >= 1.5);

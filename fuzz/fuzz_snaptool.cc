@@ -2,13 +2,13 @@
  * @file
  * Fuzz harness for the snapshot-as-data layer behind facile_snaptool
  * (analysis/snapshot.h: parseSnapshotModel / buildSnapshotImage) —
- * the tool's verify/convert/merge subcommands feed operator-supplied
- * files through exactly this path, in both image formats.
+ * the tool's verify/diff/merge/compact subcommands feed
+ * operator-supplied files through exactly this path.
  *
- * Beyond no-crash/no-UB, the harness asserts the conversion
- * invariant the tool's bit-identity guarantee rests on: once a model
- * parses, build -> parse -> build is a fixed point in each format
- * (otherwise convert round trips could silently drift).
+ * Beyond no-crash/no-UB, the harness asserts the rebuild invariant the
+ * tool's bit-identity guarantee rests on: once a model parses, build
+ * -> parse -> build is a fixed point (otherwise merge/compact output
+ * could silently drift).
  */
 #include <cstddef>
 #include <cstdint>
@@ -26,25 +26,21 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     } catch (const SnapshotError &) {
         return 0; // malformed image: rejection is the correct outcome
     }
-    for (const SnapshotFormat fmt :
-         {SnapshotFormat::V1, SnapshotFormat::V2}) {
-        std::vector<std::uint8_t> img;
-        try {
-            img = buildSnapshotImage(m, fmt);
-        } catch (const SnapshotError &) {
-            // A parsed model can still be unbuildable in one format
-            // (e.g. duplicate keys the tolerant v1 reader accepted
-            // but the v2 index cannot represent).
-            continue;
-        }
-        try {
-            const SnapshotModel back =
-                parseSnapshotModel(img.data(), img.size());
-            if (buildSnapshotImage(back, fmt) != img)
-                __builtin_trap(); // convert round trip drifted
-        } catch (const SnapshotError &) {
-            __builtin_trap(); // built images must always re-parse
-        }
+    // A parsed image always rebuilds: the parse enforced everything the
+    // writer needs (unique keys, mirrored inline dependence data).
+    std::vector<std::uint8_t> img;
+    try {
+        img = buildSnapshotImage(m);
+    } catch (const SnapshotError &) {
+        __builtin_trap(); // a parsed model must always rebuild
+    }
+    try {
+        const SnapshotModel back =
+            parseSnapshotModel(img.data(), img.size());
+        if (buildSnapshotImage(back) != img)
+            __builtin_trap(); // rebuild round trip drifted
+    } catch (const SnapshotError &) {
+        __builtin_trap(); // built images must always re-parse
     }
     return 0;
 }

@@ -7,7 +7,7 @@ a real regression:
 
   * any boolean gate that is true in the baseline but false in (or
     missing from) the fresh run (bit_identical, warm_bit_identical,
-    and the snapshot-v2 load gates — see BOOLEAN_GATES) FAILS
+    and the snapshot load gates — see BOOLEAN_GATES) FAILS
     immediately — these are correctness or order-of-magnitude
     structural gates, not timings (marginal timing-threshold booleans
     like speedup_target_met are intentionally NOT hard gates; the
@@ -60,18 +60,16 @@ REFERENCE_ROW = {
 # gates belong here: timing-threshold booleans like coldpath's
 # speedup_target_met hover at their cutoff on noisy runners and are
 # covered by the tolerance band on the corresponding rows
-# (serial_interned vs serial_fresh) instead. The two snapshot-v2 load
-# gates are the exception that proves the rule: they compare
-# order-of-magnitude structural effects measured in the same run on
-# the same machine (v2 mmap bind vs v1 record parse must stay >= 5x,
-# and scaling the record universe ~100x must grow the v2 load cost by
-# well under half of v1's growth), so a flip means the mmap path
-# broke, not that the runner was busy.
+# (serial_interned vs serial_fresh) instead. The snapshot load-scaling
+# gate is the exception that proves the rule: it compares an
+# order-of-magnitude structural effect measured in the same run on the
+# same machine (scaling the record universe ~100x must grow the load
+# cost by less than a quarter of the record-count growth), so a flip
+# means the lazy bind broke, not that the runner was busy.
 BOOLEAN_GATES = [
     "bit_identical",
     "warm_bit_identical",
     "v2_first_predict_identical",
-    "v2_load_speedup_met",
     "v2_load_sublinear",
     "wire_bootstrap_identical",
 ]

@@ -137,8 +137,8 @@ decodeSectionTable(const std::uint8_t *data, std::size_t size,
  *
  * Fault injection: each syscall boundary consults the named hook
  * `<sitePrefix>.{open,write,fsync,rotate,rename}` via
- * testing::faultPoint, so the existing torn-write / failed-rename
- * matrices exercise v2 saves identically to v1. Appends are staged
+ * testing::faultPoint, so the torn-write / failed-rename matrices
+ * exercise every writer through the same sites. Appends are staged
  * through a fixed buffer and the write hook fires once per flushed
  * chunk, not once per append — a streamed save hits the fault site
  * O(bytes / kWriteBuf) times like the old whole-image write did, so

@@ -281,8 +281,9 @@ struct ServerStats
     // Appended in PR 9 (mmap-native snapshot v2).
     /**
      * How the warm-start snapshot was brought in, as the numeric
-     * value of analysis::SnapshotLoadMode: 0 none/cold, 1 v1 parse,
-     * 2 eager v2 parse, 3 v2 mmap bind (O(pages-touched) start).
+     * value of analysis::SnapshotLoadMode: 0 cold, 3 bound
+     * (O(pages-touched) start). 1 and 2 are never reported by a
+     * server: 1 is retired, 2 is the in-memory parse.
      */
     std::uint64_t snapshotLoadMode = 0;
 

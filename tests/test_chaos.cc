@@ -25,6 +25,7 @@
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -246,12 +247,12 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
         ASSERT_EQ(::waitpid(server, &status, 0), server);
         ASSERT_TRUE(WIFSIGNALED(status));
 
-        // The kill "caught a save mid-write": replace the primary with
-        // a torn prefix so only the generation walk can recover.
-        std::FILE *f = std::fopen(snap.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs("FACSNAP\ntorn-mid-write", f);
-        std::fclose(f);
+        // The kill "caught a save mid-write": cut the primary image to
+        // its first half so only the generation walk can recover.
+        struct stat st {};
+        ASSERT_EQ(::stat(snap.c_str(), &st), 0);
+        ASSERT_GT(st.st_size, 0);
+        ASSERT_EQ(::truncate(snap.c_str(), st.st_size / 2), 0);
 
         server = spawnServerChild(sock, snap, /*warmLoad=*/true);
         ASSERT_GT(server, 0);

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,11 +17,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "analysis/snapshot.h"
 #include "bhive/generator.h"
+#include "cluster/router.h"
 #include "facile/component.h"
 #include "server/client.h"
 #include "server/net_util.h"
@@ -116,6 +120,63 @@ TEST(Server, StartStopAndControlOps)
 
     server.stop();
     // A second stop must be a no-op, and restarting is not required.
+    server.stop();
+}
+
+/** Open file descriptors of this process that are sockets. */
+std::set<int>
+socketFds()
+{
+    std::set<int> fds;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        const auto target = std::filesystem::read_symlink(entry.path(), ec);
+        if (!ec && target.string().rfind("socket:", 0) == 0)
+            fds.insert(std::stoi(entry.path().filename().string()));
+    }
+    return fds;
+}
+
+TEST(Server, EverySocketIsCloseOnExec)
+{
+    // A child spawned while a server, router or client is live must
+    // inherit none of their sockets: every socket the library opens is
+    // close-on-exec. Sockets open before the test are not ours.
+    const std::set<int> before = socketFds();
+
+    ServerOptions opts;
+    opts.unixPath = freshUnixPath();
+    opts.tcpPort = 0;
+    engine::PredictionEngine eng({.numThreads = 1});
+    opts.engine = &eng;
+    PredictionServer server(opts);
+    server.start();
+
+    cluster::RouterOptions ro;
+    ro.unixPath = freshUnixPath();
+    ro.tcpPort = 0;
+    ro.backends = {cluster::parseEndpoint("unix:" + opts.unixPath)};
+    cluster::Router router(ro);
+    router.start();
+
+    auto direct = Client::connectTcp("127.0.0.1", server.tcpPort());
+    direct.ping();
+    auto routed = Client::connectUnix(ro.unixPath);
+    const auto &b = suite().front();
+    routed.predict(b.bytesU, uarch::UArch::SKL, false); // dials backend
+
+    std::size_t checked = 0;
+    for (int fd : socketFds()) {
+        if (before.count(fd))
+            continue;
+        EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "socket fd " << fd;
+        ++checked;
+    }
+    // Four listeners, three accepted connections, the router's backend
+    // dial, and two client ends.
+    EXPECT_GE(checked, 10u);
+    router.stop();
     server.stop();
 }
 

@@ -2,24 +2,28 @@
  * @file
  * Tests for the warm-start snapshot (src/analysis/snapshot.h).
  *
- * The core contracts: (1) the InstRecord codec round-trips every field
- * bit-for-bit; (2) save → load in the same process is an append-only
- * no-op (existing records win; predictions stay bit-identical); (3) a
- * *fresh process* started from a snapshot produces bit-identical
- * predictions to a cold process over the full suite on all nine
- * arches (child-process probes); (4) corrupted, truncated, or
- * version-mismatched files are rejected without importing anything;
- * (5) a restored engine prediction cache serves hits immediately.
+ * The core contracts: (1) every interned record round-trips field for
+ * field through an image; (2) save → load in the same process is an
+ * append-only no-op (existing records win; predictions stay
+ * bit-identical); (3) a *fresh process* started from a snapshot
+ * produces bit-identical predictions to a cold process over the full
+ * suite on all nine arches (child-process probes); (4) corrupted,
+ * truncated, or version-mismatched files are rejected without
+ * importing anything; (5) a restored engine prediction cache serves
+ * hits immediately.
  */
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/intern.h"
@@ -72,7 +76,7 @@ tmpPath(const char *tag)
 std::uint64_t
 suiteDigest()
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    corpus::Xxh64State h;
     model::PredictScratch &scratch = model::tlsPredictScratch();
     for (uarch::UArch arch : uarch::allUArchs())
         for (const auto &b : snapshotSuite())
@@ -80,15 +84,11 @@ suiteDigest()
                 const model::Prediction p = model::predict(
                     bb::analyze(loop ? b.bytesL : b.bytesU, arch), loop,
                     {}, scratch);
-                h = analysis::fnv1a64(
-                    reinterpret_cast<const std::uint8_t *>(&p.throughput),
-                    8, h);
-                h = analysis::fnv1a64(
-                    reinterpret_cast<const std::uint8_t *>(
-                        p.componentValue.data()),
-                    sizeof(double) * p.componentValue.size(), h);
+                h.update(&p.throughput, sizeof p.throughput);
+                h.update(p.componentValue.data(),
+                         sizeof(double) * p.componentValue.size());
             }
-    return h;
+    return h.digest();
 }
 
 bool
@@ -145,53 +145,37 @@ sameRecord(const analysis::InstRecord &a, const analysis::InstRecord &b)
            a.jccTestsSOP == b.jccTestsSOP;
 }
 
-TEST(SnapshotCodec, RecordRoundTripAllArches)
+TEST(Snapshot, RecordRoundTripAllArches)
 {
     populateInterners();
+    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    const analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    EXPECT_EQ(m.arches.size(), uarch::allUArchs().size());
+
+    std::map<std::pair<std::uint32_t, std::vector<std::uint8_t>>,
+             const analysis::InstRecord *>
+        parsed;
+    for (const analysis::SnapshotModel::Arch &a : m.arches)
+        for (const auto &[key, rec] : a.records)
+            parsed.emplace(std::make_pair(a.arch, key), &rec);
+
     std::size_t checked = 0;
     for (uarch::UArch arch : uarch::allUArchs()) {
-        const analysis::InstInterner &in =
-            analysis::InstInterner::forArch(arch);
-        in.exportRecords([&](const std::uint8_t *, std::size_t,
-                             const analysis::InstRecord &rec) {
-            std::vector<std::uint8_t> buf;
-            analysis::InstRecordSnapshotCodec::encode(buf, rec);
-            std::size_t pos = 0;
-            const analysis::InstRecord back =
-                analysis::InstRecordSnapshotCodec::decode(
-                    buf.data(), buf.size(), pos);
-            EXPECT_EQ(pos, buf.size());
-            EXPECT_TRUE(sameRecord(rec, back));
-            ++checked;
-        });
+        const auto archWord = static_cast<std::uint32_t>(arch);
+        analysis::InstInterner::forArch(arch).exportRecords(
+            [&](const std::uint8_t *bytes, std::size_t len,
+                const analysis::InstRecord &rec) {
+                const auto it = parsed.find(std::make_pair(
+                    archWord, std::vector<std::uint8_t>(bytes, bytes + len)));
+                ASSERT_NE(it, parsed.end());
+                EXPECT_TRUE(sameRecord(rec, *it->second));
+                ++checked;
+            });
     }
     // Each arch saw a few hundred distinct instructions.
     EXPECT_GT(checked, 1000u);
-}
-
-TEST(SnapshotCodec, DecodeRejectsTruncation)
-{
-    populateInterners();
-    const analysis::InstInterner &in =
-        analysis::InstInterner::forArch(uarch::UArch::SKL);
-    std::vector<std::uint8_t> buf;
-    bool first = true;
-    in.exportRecords([&](const std::uint8_t *, std::size_t,
-                         const analysis::InstRecord &rec) {
-        if (!first)
-            return;
-        first = false;
-        analysis::InstRecordSnapshotCodec::encode(buf, rec);
-    });
-    ASSERT_FALSE(buf.empty());
-    // Every proper prefix must throw, never crash or return garbage.
-    for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-        std::size_t pos = 0;
-        EXPECT_THROW(analysis::InstRecordSnapshotCodec::decode(
-                         buf.data(), cut, pos),
-                     analysis::SnapshotError)
-            << "prefix length " << cut;
-    }
+    EXPECT_EQ(checked, parsed.size());
 }
 
 TEST(Snapshot, SaveLoadSameProcessIsAppendOnlyNoOp)
@@ -249,96 +233,6 @@ TEST(Snapshot, EnginePredictionCacheRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(Snapshot, RejectsCorruptionTruncationAndVersionMismatch)
-{
-    populateInterners();
-    const std::string path = tmpPath("corrupt");
-    // This matrix pokes v1 byte offsets (version at 8, checksum at 24,
-    // FNV over everything past 32) — write the v1 format explicitly.
-    // The v2 corruption matrix lives in SnapshotV2.*.
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-
-    std::vector<std::uint8_t> file;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        file.resize(static_cast<std::size_t>(std::ftell(f)));
-        std::fseek(f, 0, SEEK_SET);
-        ASSERT_EQ(std::fread(file.data(), 1, file.size(), f),
-                  file.size());
-        std::fclose(f);
-    }
-    ASSERT_GT(file.size(), 64u);
-
-    auto writeVariant = [&](const std::vector<std::uint8_t> &bytes) {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        if (!bytes.empty()) {
-            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                      bytes.size());
-        }
-        std::fclose(f);
-    };
-
-    // Truncations: header, mid-payload, one byte short.
-    for (std::size_t cut :
-         {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          std::size_t{40}, file.size() / 2, file.size() - 1}) {
-        std::vector<std::uint8_t> t(file.begin(),
-                                    file.begin() +
-                                        static_cast<std::ptrdiff_t>(cut));
-        writeVariant(t);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "truncated to " << cut;
-    }
-
-    // Bad magic.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[0] ^= 0xff;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // Unsupported version.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[8] = static_cast<std::uint8_t>(analysis::kSnapshotVersion + 1);
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // Payload corruption must fail the checksum — try several offsets.
-    for (std::size_t off = 32; off < file.size();
-         off += file.size() / 7) {
-        std::vector<std::uint8_t> bad = file;
-        bad[off] ^= 0x5a;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "flip at " << off;
-    }
-
-    // Corrupted checksum field itself.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[24] ^= 0x01;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // The pristine bytes still load (the harness above is not lossy).
-    writeVariant(file);
-    EXPECT_NO_THROW(analysis::loadSnapshot(path));
-    std::remove(path.c_str());
-}
-
 /** Read the whole file (for the in-memory entry-point tests). */
 std::vector<std::uint8_t>
 slurpFile(const std::string &path)
@@ -375,6 +269,7 @@ TEST(Snapshot, MemoryLoadMatchesFileLoad)
     std::remove(path.c_str());
     const analysis::SnapshotStats st =
         analysis::loadSnapshotFromMemory(img.data(), img.size());
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
     EXPECT_EQ(st.records, saved.records);
     EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
     EXPECT_EQ(st.bytes, img.size());
@@ -385,78 +280,90 @@ TEST(Snapshot, MemoryLoadMatchesFileLoad)
 TEST(Snapshot, ValidateStagesEverythingAndCommitsNothing)
 {
     populateInterners();
-    const std::string path = tmpPath("validate");
-    // Forging a key below assumes the v1 record layout at fixed
-    // offsets; save that format explicitly.
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-    std::vector<std::uint8_t> img = slurpFile(path);
-    std::remove(path.c_str());
+    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    ASSERT_FALSE(m.arches.empty());
+    ASSERT_FALSE(m.arches[0].records.empty());
 
-    // Forge a never-seen intern key: flip the first key byte of the
-    // first record (the key is opaque to validation) and re-stamp the
-    // checksum, so a committing load WOULD append a record.
-    ASSERT_GT(img.size(), 54u);
-    std::uint32_t sectionType;
-    std::memcpy(&sectionType, img.data() + 32, 4);
-    ASSERT_EQ(sectionType, 1u); // records section first
-    img[53] ^= 0xFF;            // first key byte (keyLen at 52)
-    const std::uint64_t sum =
-        analysis::fnv1a64(img.data() + 32, img.size() - 32);
-    std::memcpy(img.data() + 24, &sum, 8);
-
-    std::uint32_t archWord;
-    std::memcpy(&archWord, img.data() + 36, 4);
-    const auto arch = static_cast<uarch::UArch>(archWord);
+    // Forge a never-seen intern key (the key is opaque to validation):
+    // 0xD6 is not a valid opcode in 64-bit mode, so no block can ever
+    // decode to these bytes and later tests never look the record up.
+    // A committing load of the rebuilt image WOULD append it.
+    m.arches[0].records[0].first.assign(15, 0xD6);
+    const std::vector<std::uint8_t> forged =
+        analysis::buildSnapshotImage(m);
+    const auto arch = static_cast<uarch::UArch>(m.arches[0].arch);
 
     // validateSnapshot: full staging pass, zero commitment.
     const std::size_t before = recordCount(arch);
     const analysis::SnapshotStats st =
-        analysis::validateSnapshot(img.data(), img.size());
+        analysis::validateSnapshot(forged.data(), forged.size());
     EXPECT_GT(st.records, 0u);
     EXPECT_EQ(st.newRecords, 0u);
     EXPECT_EQ(recordCount(arch), before);
 
     // The same image, committed, appends the forged-key record.
     const analysis::SnapshotStats loaded =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_GE(loaded.newRecords, 1u);
-    EXPECT_EQ(recordCount(arch), before + loaded.newRecords);
+        analysis::loadSnapshotFromMemory(forged.data(), forged.size());
+    EXPECT_EQ(loaded.newRecords, 1u);
+    EXPECT_EQ(recordCount(arch), before + 1);
+}
+
+/** A one-arch, @p n-record image cut from a full save. */
+std::vector<std::uint8_t>
+smallImage(std::size_t n)
+{
+    populateInterners();
+    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    m.arches.resize(1);
+    m.arches[0].records.resize(n);
+    m.arches[0].fusedPairs.clear();
+    m.hasPredictions = false;
+    m.predictions.clear();
+    return analysis::buildSnapshotImage(m);
+}
+
+/** Decode the section table of an image (validated, file order). */
+std::vector<corpus::SectionEntry>
+v2Table(const std::vector<std::uint8_t> &img)
+{
+    EXPECT_GE(img.size(), 64u);
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 20, 4);
+    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
+                                      count, img.size());
+}
+
+/** Re-stamp the table and header hashes after editing @p img. */
+void
+restampHeader(std::vector<std::uint8_t> &img,
+              const std::vector<corpus::SectionEntry> &table)
+{
+    const std::vector<std::uint8_t> tbl = corpus::encodeSectionTable(table);
+    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
+    const std::uint64_t fileBytes = img.size();
+    std::memcpy(img.data() + 24, &fileBytes, 8);
+    const std::uint64_t tableHash =
+        corpus::xxh64(img.data() + 64, tbl.size());
+    std::memcpy(img.data() + 40, &tableHash, 8);
+    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
+    std::memcpy(img.data() + 48, &headerHash, 8);
 }
 
 TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
 {
-    // A section claiming 2^32-1 records in a 4-byte payload must be
-    // rejected as truncation — and, with the clamped reserve, without
-    // first attempting a count-sized allocation (the checksum is
-    // FNV-1a, so an attacker can stamp any count they like).
-    std::vector<std::uint8_t> img(32);
-    std::memcpy(img.data(), "FACSNAP\n", 8);
-    const std::uint32_t version = analysis::kSnapshotVersion;
-    std::memcpy(img.data() + 8, &version, 4);
-    const std::uint32_t sections = 1;
-    std::memcpy(img.data() + 12, &sections, 4);
-
-    auto put32 = [&](std::uint32_t v) {
-        const std::size_t n = img.size();
-        img.resize(n + 4);
-        std::memcpy(img.data() + n, &v, 4);
-    };
-    auto put64 = [&](std::uint64_t v) {
-        const std::size_t n = img.size();
-        img.resize(n + 8);
-        std::memcpy(img.data() + n, &v, 8);
-    };
-    put32(1); // SectionType::Records
-    put32(0); // arch
-    put64(4); // section len: just the count field
-    put32(0xFFFFFFFFu);
-
-    const std::uint64_t payloadLen = img.size() - 32;
-    std::memcpy(img.data() + 16, &payloadLen, 8);
-    const std::uint64_t sum =
-        analysis::fnv1a64(img.data() + 32, payloadLen);
-    std::memcpy(img.data() + 24, &sum, 8);
+    // A Records table entry claiming 2^32-1 items over a one-record
+    // section must be rejected — and, with the clamped reserve,
+    // without first attempting a count-sized allocation (both hashes
+    // are unkeyed, so an attacker can stamp any count they like).
+    std::vector<std::uint8_t> img = smallImage(1);
+    std::vector<corpus::SectionEntry> table = v2Table(img);
+    ASSERT_EQ(table[0].type, 1u);
+    table[0].itemCount = 0xFFFFFFFFu;
+    restampHeader(img, table);
 
     EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
                  analysis::SnapshotError);
@@ -464,12 +371,24 @@ TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
                  analysis::SnapshotError);
 }
 
+TEST(Snapshot, EveryTruncationRejected)
+{
+    // Every proper prefix must throw, never crash or return garbage.
+    const std::vector<std::uint8_t> img = smallImage(3);
+    EXPECT_NO_THROW(analysis::validateSnapshot(img.data(), img.size()));
+    for (std::size_t cut = 0; cut < img.size(); ++cut)
+        EXPECT_THROW(analysis::validateSnapshot(img.data(), cut),
+                     analysis::SnapshotError)
+            << "prefix length " << cut;
+}
+
 /**
  * Child half of the fresh-process property: when the probe env vars
  * are set (by FreshProcessBitIdentity, in a *child* process whose
  * interners are empty), optionally load the snapshot, predict the
- * whole suite, and write the digest for the parent. In a normal test
- * run the env vars are unset and this is a skip.
+ * whole suite, and write the digest plus the lazy-section counters for
+ * the parent. In a normal test run the env vars are unset and this is
+ * a skip.
  */
 TEST(SnapshotProbe, Emit)
 {
@@ -478,19 +397,24 @@ TEST(SnapshotProbe, Emit)
         GTEST_SKIP() << "probe mode only (spawned by "
                         "FreshProcessBitIdentity)";
     if (const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP")) {
+        // MmapFaultBindsHeapCopy: fail the mmap so the bind goes
+        // through the heap copy, and every record read below with it.
+        const bool mmapFault =
+            std::getenv("FACILE_SNAPSHOT_PROBE_MMAP_FAULT") != nullptr;
+        if (mmapFault)
+            testing::armFault("snapshot.mmap",
+                              {.firstHit = 0, .count = 1, .err = ENOMEM});
         const analysis::SnapshotStats st = analysis::loadSnapshot(snap);
-        // A fresh process appends every record — nothing pre-existing.
-        // Under the lazy v2 mmap bind nothing is appended at load
-        // time at all; records materialize on first touch instead.
-        if (st.loadMode == analysis::SnapshotLoadMode::MmapV2) {
-            ASSERT_EQ(st.newRecords, 0u);
-        } else {
-            ASSERT_EQ(st.newRecords, st.records);
-        }
+        if (mmapFault)
+            ASSERT_EQ(testing::faultsFired("snapshot.mmap"), 1u);
+        // A file load binds: nothing is appended at load time,
+        // records materialize on first touch instead.
+        ASSERT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
+        ASSERT_EQ(st.newRecords, 0u);
         ASSERT_GT(st.records, 0u);
         // Resave *immediately* — before any prediction touches a
-        // record — so ResaveAfterMmapStartKeepsUniverse exercises the
-        // worst case: every record still behind the lazy mmap bind.
+        // record — so ResaveAfterBoundStartKeepsUniverse exercises the
+        // worst case: every record still behind the lazy bind.
         if (const char *re =
                 std::getenv("FACILE_SNAPSHOT_PROBE_RESAVE")) {
             const analysis::SnapshotStats rs = analysis::saveSnapshot(
@@ -500,11 +424,63 @@ TEST(SnapshotProbe, Emit)
         }
     }
     const std::uint64_t digest = suiteDigest();
+    const analysis::SnapshotSourceStats src = analysis::snapshotSourceStats();
     std::FILE *f = std::fopen(out, "w");
     ASSERT_NE(f, nullptr);
-    std::fprintf(f, "%016llx\n",
-                 static_cast<unsigned long long>(digest));
+    std::fprintf(f, "%016llx %llu %llu\n",
+                 static_cast<unsigned long long>(digest),
+                 static_cast<unsigned long long>(src.sectionsVerified),
+                 static_cast<unsigned long long>(src.sectionsPoisoned));
     std::fclose(f);
+}
+
+/** What one SnapshotProbe.Emit child reported. */
+struct ProbeResult
+{
+    unsigned long long digest = 0;
+    unsigned long long sectionsVerified = 0;
+    unsigned long long sectionsPoisoned = 0;
+};
+
+/**
+ * Run SnapshotProbe.Emit in a child — a genuinely cold process, this
+ * test binary re-run via /proc/self/exe — that loads @p snap first
+ * (unless empty) — through the heap copy when @p mmapFault — and
+ * resaves to @p resave (unless empty). @return false when the child
+ * failed or reported nothing.
+ */
+bool
+runProbe(const std::string &snap, ProbeResult &r,
+         const std::string &resave = "", bool mmapFault = false)
+{
+    // /proc/self/exe must be resolved here: inside std::system's shell
+    // child it would name the shell, not this binary.
+    char self[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
+    if (n <= 0)
+        return false;
+    self[n] = '\0';
+    const std::string out = tmpPath("probe_out");
+    std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
+    if (!snap.empty())
+        cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
+    if (!resave.empty())
+        cmd += "FACILE_SNAPSHOT_PROBE_RESAVE='" + resave + "' ";
+    if (mmapFault)
+        cmd += "FACILE_SNAPSHOT_PROBE_MMAP_FAULT=1 ";
+    cmd += "'" + std::string(self) +
+           "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
+    if (std::system(cmd.c_str()) != 0)
+        return false;
+    std::FILE *f = std::fopen(out.c_str(), "r");
+    if (!f)
+        return false;
+    const bool ok = std::fscanf(f, "%llx %llu %llu", &r.digest,
+                                &r.sectionsVerified,
+                                &r.sectionsPoisoned) == 3;
+    std::fclose(f);
+    std::remove(out.c_str());
+    return ok;
 }
 
 /**
@@ -519,40 +495,14 @@ TEST(Snapshot, FreshProcessBitIdentity)
     const std::string snap = tmpPath("fresh");
     analysis::saveSnapshot(snap);
 
-    // /proc/self/exe must be resolved here: inside std::system's shell
-    // child it would name the shell, not this binary.
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "digest_warm" : "digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
+    ProbeResult cold, warm;
+    ASSERT_TRUE(runProbe("", cold));
+    ASSERT_TRUE(runProbe(snap, warm));
+    EXPECT_EQ(cold.digest, warm.digest);
+    EXPECT_GT(warm.sectionsVerified, 0u);
+    EXPECT_EQ(warm.sectionsPoisoned, 0u);
     // And both match this (differently warmed) process.
-    EXPECT_EQ(cold, suiteDigest());
+    EXPECT_EQ(cold.digest, suiteDigest());
     std::remove(snap.c_str());
 }
 
@@ -680,36 +630,10 @@ TEST(SnapshotCrashSafety, FallbackWarmStartIsBitIdenticalInFreshProcess)
         writeTorn(snap, primary, primary.size() / 2);
     }
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "fb_digest_warm" : "fb_digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
+    ProbeResult cold, warm;
+    ASSERT_TRUE(runProbe("", cold));
+    ASSERT_TRUE(runProbe(snap, warm));
+    EXPECT_EQ(cold.digest, warm.digest);
     removeGenerations(snap);
 }
 
@@ -776,18 +700,7 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
     removeGenerations(path);
 }
 
-// ---- snapshot v2: mmap-native sectioned image ------------------------------
-
-/** Decode the section table of a v2 image (validated, file order). */
-std::vector<corpus::SectionEntry>
-v2Table(const std::vector<std::uint8_t> &img)
-{
-    EXPECT_GE(img.size(), 64u);
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
-                                      count, img.size());
-}
+// ---- the sectioned image: bind, corruption, poisoning ----------------------
 
 /** Overwrite @p path with @p bytes. */
 void
@@ -810,33 +723,22 @@ TEST(SnapshotV2, RoundTripLoadModes)
     removeGenerations(path);
 
     const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_EQ(saved.formatVersion, 2u) << "V2 is the default format";
     EXPECT_GT(saved.records, 1000u);
 
-    // Default load: mmap + lazy bind — no records parsed, none appended.
+    // A file load binds lazily — no records parsed, none appended.
     const auto binds = analysis::snapshotSourceStats().imagesBound;
-    const analysis::SnapshotStats mm = analysis::loadSnapshot(path);
-    EXPECT_EQ(mm.loadMode, analysis::SnapshotLoadMode::MmapV2);
-    EXPECT_EQ(mm.formatVersion, 2u);
-    EXPECT_EQ(mm.records, saved.records);
-    EXPECT_EQ(mm.fusedPairs, saved.fusedPairs);
-    EXPECT_EQ(mm.newRecords, 0u);
+    const analysis::SnapshotStats bound = analysis::loadSnapshot(path);
+    EXPECT_EQ(bound.loadMode, analysis::SnapshotLoadMode::Bound);
+    EXPECT_EQ(bound.records, saved.records);
+    EXPECT_EQ(bound.fusedPairs, saved.fusedPairs);
+    EXPECT_EQ(bound.newRecords, 0u);
     EXPECT_EQ(analysis::snapshotSourceStats().imagesBound, binds + 1);
 
-    // Opting out of the mmap bind parses the same file eagerly.
-    const analysis::SnapshotStats eager =
-        analysis::loadSnapshot(path, {.eagerLoad = true});
-    EXPECT_EQ(eager.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(eager.records, saved.records);
-    EXPECT_EQ(eager.fusedPairs, saved.fusedPairs);
-
-    // Wire images have no file behind them: always eager.
+    // Wire images have no file behind them: parsed and committed.
     const std::vector<std::uint8_t> img = slurpFile(path);
-    EXPECT_EQ(analysis::snapshotImageFormat(img.data(), img.size()),
-              analysis::SnapshotFormat::V2);
     const analysis::SnapshotStats mem =
         analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_EQ(mem.loadMode, analysis::SnapshotLoadMode::EagerV2);
+    EXPECT_EQ(mem.loadMode, analysis::SnapshotLoadMode::Parsed);
     EXPECT_EQ(mem.records, saved.records);
 
     // Every section payload starts on a page boundary.
@@ -928,14 +830,14 @@ TEST(SnapshotV2, SectionBitFlipsEagerRejectLazyPoison)
 
         writeFile(path, bad);
         if (e.type == 1) {
-            // Records sections are verified lazily: the mmap load
-            // itself succeeds, the damaged section is poisoned on
-            // first touch (covered end-to-end by the fresh-process
-            // test below — here every key is already interned, so
-            // the source is never consulted).
+            // Records sections are verified lazily: the bind itself
+            // succeeds, the damaged section is poisoned on first
+            // touch (covered end-to-end by the fresh-process test
+            // below — here every key is already interned, so the
+            // source is never consulted).
             const analysis::SnapshotStats st =
                 analysis::loadSnapshot(path);
-            EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2)
+            EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound)
                 << "tag " << e.tag;
         } else {
             // Pairs/prediction tails are verified eagerly at load.
@@ -947,19 +849,19 @@ TEST(SnapshotV2, SectionBitFlipsEagerRejectLazyPoison)
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, MisalignedImageFallsBackToEagerParse)
+TEST(SnapshotV2, PackedImageBindsLazily)
 {
     populateInterners();
-    const std::string path = tmpPath("v2_misaligned");
+    const std::string path = tmpPath("v2_packed");
     removeGenerations(path);
     const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
     const std::vector<std::uint8_t> file = slurpFile(path);
     const std::vector<corpus::SectionEntry> table = v2Table(file);
 
-    // Repack the image with 8-byte instead of page-aligned sections:
-    // a legal-but-unmappable layout (e.g. a foreign writer). Payload
-    // bytes are untouched, so the per-section hashes still hold; only
-    // the table offsets, file size, and the two header hashes change.
+    // Repack the image with 8-byte instead of page-aligned sections
+    // (e.g. a foreign writer). Payload bytes are untouched, so the
+    // per-section hashes still hold; only the table offsets, file
+    // size, and the two header hashes change.
     std::vector<corpus::SectionEntry> packed = table;
     std::vector<std::uint8_t> img(
         file.begin(),
@@ -974,27 +876,26 @@ TEST(SnapshotV2, MisalignedImageFallsBackToEagerParse)
                                       table[i].offset + table[i].length));
     }
     ASSERT_LT(img.size(), file.size()) << "padding actually removed";
-    const std::vector<std::uint8_t> tbl =
-        corpus::encodeSectionTable(packed);
-    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-    const std::uint64_t fileBytes = img.size();
-    std::memcpy(img.data() + 24, &fileBytes, 8);
-    const std::uint64_t tableHash =
-        corpus::xxh64(img.data() + 64, tbl.size());
-    std::memcpy(img.data() + 40, &tableHash, 8);
-    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
-    std::memcpy(img.data() + 48, &headerHash, 8);
+    restampHeader(img, packed);
 
     writeFile(path, img);
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(st.formatVersion, 2u);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
     EXPECT_EQ(st.records, saved.records);
     EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
+
+    // A fresh process warm-started from the packed image serves every
+    // record through the lazy views, bit-identically to a cold start.
+    ProbeResult cold, warm;
+    ASSERT_TRUE(runProbe("", cold));
+    ASSERT_TRUE(runProbe(path, warm));
+    EXPECT_EQ(cold.digest, warm.digest);
+    EXPECT_EQ(warm.sectionsVerified, uarch::allUArchs().size());
+    EXPECT_EQ(warm.sectionsPoisoned, 0u);
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, MmapFaultFallsBackToEagerParse)
+TEST(SnapshotV2, MmapFaultBindsHeapCopy)
 {
     if (!testing::kFaultInjection)
         GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
@@ -1009,32 +910,40 @@ TEST(SnapshotV2, MmapFaultFallsBackToEagerParse)
                        .count = 1, .err = ENOMEM});
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     testing::resetFaults();
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2)
-        << "failed mmap degrades to the parse path, never to an error";
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound)
+        << "a failed mmap binds a heap copy, never degrades to an error";
     EXPECT_EQ(st.records, saved.records);
+    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
+
+    // This process already interned every key, so the bound copy was
+    // never read above. A fresh process reads every record from it.
+    ProbeResult cold, warm;
+    ASSERT_TRUE(runProbe("", cold));
+    ASSERT_TRUE(runProbe(path, warm, "", /*mmapFault=*/true));
+    EXPECT_EQ(cold.digest, warm.digest);
+    EXPECT_EQ(warm.sectionsVerified, uarch::allUArchs().size());
+    EXPECT_EQ(warm.sectionsPoisoned, 0u);
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, FallsBackThroughGenerationsToV1)
+TEST(SnapshotV2, OldMagicGenerationIsSkipped)
 {
     populateInterners();
-    const std::string path = tmpPath("v2_to_v1");
+    const std::string path = tmpPath("v2_oldmagic");
     removeGenerations(path);
 
-    // History: a v1 save (old binary), then a v2 save rotates it to
-    // .g1, then the primary is damaged.
-    const analysis::SnapshotStats v1 = analysis::saveSnapshot(
-        path, {.format = analysis::SnapshotFormat::V1});
+    // History: two saves (the first rotates to .g1), then the primary
+    // is replaced by an image carrying the retired "FACSNAP\n" magic.
+    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
     analysis::saveSnapshot(path);
-    std::vector<std::uint8_t> bad = slurpFile(path);
-    bad[48] ^= 0xff; // header hash
-    writeFile(path, bad);
+    std::vector<std::uint8_t> old = slurpFile(path);
+    std::memcpy(old.data(), "FACSNAP\n", 8);
+    writeFile(path, old);
 
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.formatVersion, 1u);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::ParseV1);
-    EXPECT_EQ(st.records, v1.records);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
+    EXPECT_EQ(st.records, saved.records);
     removeGenerations(path);
 }
 
@@ -1061,43 +970,18 @@ TEST(SnapshotV2, BitFlippedRecordsStayBitIdenticalInFreshProcess)
         writeFile(snap, img);
     }
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "poison_digest_warm" : "poison_digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
+    ProbeResult cold, warm;
+    ASSERT_TRUE(runProbe("", cold));
+    ASSERT_TRUE(runProbe(snap, warm));
+    EXPECT_EQ(cold.digest, warm.digest);
+    EXPECT_GT(warm.sectionsPoisoned, 0u);
     removeGenerations(snap);
 }
 
-TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
+TEST(SnapshotV2, ResaveAfterBoundStartKeepsUniverse)
 {
-    // Regression: a process warm-started from an mmap'd v2 image
-    // serves records through the lazily bound RecordSource, which
+    // Regression: a process warm-started from a bound image serves
+    // records through the lazily bound RecordSource, which
     // exportRecords cannot see — an immediate save used to persist
     // only the (empty) canonical arenas, silently shrinking the
     // snapshot to zero records. saveSnapshot must materialize the
@@ -1110,23 +994,10 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     removeGenerations(snap);
     std::remove(resaved.c_str());
     const analysis::SnapshotStats saved = analysis::saveSnapshot(snap);
-    ASSERT_EQ(saved.formatVersion, 2u);
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    const std::string out = tmpPath("v2_resave_out");
-    const std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out +
-                            "' FACILE_SNAPSHOT_PROBE_SNAP='" + snap +
-                            "' FACILE_SNAPSHOT_PROBE_RESAVE='" + resaved +
-                            "' '" + std::string(self) +
-                            "' --gtest_filter=SnapshotProbe.Emit "
-                            ">/dev/null 2>&1";
-    ASSERT_EQ(std::system(cmd.c_str()), 0)
+    ProbeResult r;
+    ASSERT_TRUE(runProbe(snap, r, resaved))
         << "child probe failed (load or resave assertions)";
-    std::remove(out.c_str());
 
     // The child's resave carries the full universe, not just the
     // records it happened to touch.
@@ -1144,65 +1015,27 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     removeGenerations(snap);
 }
 
-TEST(SnapshotV2, ConvertRoundTripIsByteIdentical)
+TEST(SnapshotV2, RebuildIsByteIdentical)
 {
-    // The contract snaptool convert relies on:
-    // buildSnapshotImage(parseSnapshotModel(img), sameFormat) == img,
-    // bit for bit, in both formats — and cross-format conversion
-    // preserves the model exactly.
+    // The contract snaptool merge/compact rely on:
+    // buildSnapshotImage(parseSnapshotModel(img)) == img, bit for bit —
+    // with and without a prediction-cache section aboard.
     populateInterners();
-    const std::string path = tmpPath("v2_convert");
-    removeGenerations(path);
+    std::vector<engine::Request> batch;
+    for (const auto &b : snapshotSuite())
+        batch.push_back({b.bytesU, uarch::UArch::ICL, false, {}});
+    engine::PredictionEngine eng({.numThreads = 1});
+    eng.predictBatch(batch);
 
-    analysis::saveSnapshot(path);
-    const std::vector<std::uint8_t> v2 = slurpFile(path);
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-    const std::vector<std::uint8_t> v1 = slurpFile(path);
-    removeGenerations(path);
-
-    const analysis::SnapshotModel mv2 =
-        analysis::parseSnapshotModel(v2.data(), v2.size());
-    const analysis::SnapshotModel mv1 =
-        analysis::parseSnapshotModel(v1.data(), v1.size());
-    EXPECT_EQ(mv2.sourceVersion, 2u);
-    EXPECT_EQ(mv1.sourceVersion, 1u);
-
-    // Same-format rebuilds are byte-identical.
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  mv2, analysis::SnapshotFormat::V2),
-              v2);
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  mv1, analysis::SnapshotFormat::V1),
-              v1);
-
-    // Cross-format round trips land back on the original bytes.
-    const std::vector<std::uint8_t> v2FromV1 =
-        analysis::buildSnapshotImage(mv1,
-                                     analysis::SnapshotFormat::V2);
-    const analysis::SnapshotModel back1 = analysis::parseSnapshotModel(
-        v2FromV1.data(), v2FromV1.size());
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  back1, analysis::SnapshotFormat::V1),
-              v1);
-
-    const std::vector<std::uint8_t> v1FromV2 =
-        analysis::buildSnapshotImage(mv2,
-                                     analysis::SnapshotFormat::V1);
-    const analysis::SnapshotModel back2 = analysis::parseSnapshotModel(
-        v1FromV2.data(), v1FromV2.size());
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  back2, analysis::SnapshotFormat::V2),
-              v2);
-
-    // Both representations validate to the same logical contents.
-    const analysis::SnapshotStats s1 =
-        analysis::validateSnapshot(v1.data(), v1.size());
-    const analysis::SnapshotStats s2 =
-        analysis::validateSnapshot(v2.data(), v2.size());
-    EXPECT_EQ(s1.records, s2.records);
-    EXPECT_EQ(s1.fusedPairs, s2.fusedPairs);
-    EXPECT_EQ(s1.predictions, s2.predictions);
+    engine::PredictionEngine *const engines[] = {nullptr, &eng};
+    for (engine::PredictionEngine *e : engines) {
+        const std::vector<std::uint8_t> img =
+            analysis::saveSnapshotToMemory({e});
+        const analysis::SnapshotModel m =
+            analysis::parseSnapshotModel(img.data(), img.size());
+        EXPECT_EQ(m.hasPredictions, e != nullptr);
+        EXPECT_EQ(analysis::buildSnapshotImage(m), img);
+    }
 }
 
 } // namespace
