@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "analysis/intern.h"
 #include "analysis/snapshot.h"
@@ -211,8 +210,6 @@ main(int argc, char **argv)
     report.scalar("suite_blocks", nBlocks);
     report.scalar("arch", "SKL");
     report.boolean("quick_mode", bench::quickMode());
-    report.scalar("hw_threads",
-                  static_cast<double>(std::thread::hardware_concurrency()));
 
     std::printf("COLD-PATH THROUGHPUT: uncached blocks/sec, %zu blocks "
                 "(TPL, %s)\n",

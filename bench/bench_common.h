@@ -8,12 +8,16 @@
 #ifndef FACILE_BENCH_COMMON_H
 #define FACILE_BENCH_COMMON_H
 
+#include <sched.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,12 +76,55 @@ printRule(int width = 78)
 /** Bit-identity oracle (defined once in eval/harness.h). */
 using eval::samePrediction;
 
+/** The host a report was measured on. */
+struct HostRecord
+{
+    unsigned hwThreads = 0;
+    std::string cpuModel; ///< /proc/cpuinfo "model name"
+    std::string affinity; ///< this process's CPU list, e.g. "0-3"
+};
+
+inline HostRecord
+currentHost()
+{
+    HostRecord h;
+    h.hwThreads = std::thread::hardware_concurrency();
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        const std::size_t colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        // JSON-safe: no leading blank, no quote or backslash.
+        for (char c : line.substr(colon + 1))
+            if (c != '"' && c != '\\' && (c != ' ' || !h.cpuModel.empty()))
+                h.cpuModel.push_back(c);
+        break;
+    }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof set, &set) == 0)
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (!CPU_ISSET(c, &set))
+                continue;
+            int last = c;
+            while (last + 1 < CPU_SETSIZE && CPU_ISSET(last + 1, &set))
+                ++last;
+            h.affinity += (h.affinity.empty() ? "" : ",") +
+                          std::to_string(c) +
+                          (last > c ? "-" + std::to_string(last) : "");
+            c = last;
+        }
+    return h;
+}
+
 /**
  * Machine-readable benchmark report, written as BENCH_<name>.json into
  * $FACILE_BENCH_JSON_DIR (default: the current directory) so the
  * repo's perf trajectory can be tracked run over run.
  *
- * Shape: a flat object of scalars plus a "rows" array of measurement
+ * Shape: a flat object of scalars, a "host" record ({hw_threads,
+ * cpu_model, affinity}: scripts/check_bench.py compares row timings
+ * only between matching hosts), and a "rows" array of measurement
  * rows ({"label": ..., metrics...}), in insertion order. Typical
  * metrics: blocks_per_sec, threads, cache_hit_rate, p50_us, p99_us.
  */
@@ -131,6 +178,12 @@ class BenchReport
             return false;
         }
         std::fprintf(f, "{\n  \"bench\": \"%s\"", name_.c_str());
+        const HostRecord host = currentHost();
+        std::fprintf(f,
+                     ",\n  \"host\": {\"hw_threads\": %u, \"cpu_model\": "
+                     "\"%s\", \"affinity\": \"%s\"}",
+                     host.hwThreads, host.cpuModel.c_str(),
+                     host.affinity.c_str());
         for (const auto &[key, v] : scalars_) {
             std::fprintf(f, ",\n  \"%s\": ", key.c_str());
             printValue(f, v);

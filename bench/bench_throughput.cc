@@ -38,8 +38,6 @@ main()
     report.scalar("suite_blocks", nBlocks);
     report.scalar("arch", "SKL");
     report.boolean("quick_mode", bench::quickMode());
-    report.scalar("hw_threads",
-                  static_cast<double>(std::thread::hardware_concurrency()));
 
     // Serial reference: analyze + predict per block, no engine — in the
     // same serving mode the engine runs (explicit scratch, bound-only

@@ -210,8 +210,8 @@ main(int argc, char **argv)
                 std::chrono::duration<double, std::micro>(s1 - s0)
                     .count());
         }
-        std::printf("latency: p50 %.1f us, p99 %.1f us (includes the "
-                    "server's admission window)\n",
+        std::printf("latency: p50 %.1f us, p99 %.1f us (one request "
+                    "at a time: wire, admission ring and engine)\n",
                     percentile(us, 50), percentile(us, 99));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -5,15 +5,18 @@
  *
  * Usage:
  *   facile_server [--tcp PORT] [--unix PATH] [--threads N]
- *                 [--io-threads N] [--window-us N] [--max-batch N]
+ *                 [--io-threads N]
  *                 [--read-timeout-ms N] [--max-connections N]
  *                 [--max-pending N] [--max-inflight N]
  *                 [--snapshot-load FILE] [--snapshot-save FILE]
  *                 [--drain-grace-ms N]
  *
- * --threads sizes the engine worker pool; --io-threads the epoll
- * reader loops (1 is right until the reader side itself saturates a
- * core — see ServerOptions::ioThreads).
+ * --threads sets the engine's lanes: the batch collector plus N - 1
+ * helper threads, so 1 serves every batch on the collector alone.
+ * --io-threads sets the epoll reader loops (1 is right until the
+ * reader side itself saturates a core — see ServerOptions::ioThreads).
+ * Batching is self-clocking: a batch is whatever arrived while the
+ * previous one ran, so there is no window or batch-size flag.
  *
  * With no listener flags it serves on --unix /tmp/facile.sock.
  *
@@ -101,7 +104,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--tcp PORT] [--unix PATH] [--threads N] "
-                 "[--io-threads N] [--window-us N] [--max-batch N]\n"
+                 "[--io-threads N]\n"
                  "       [--read-timeout-ms N] [--max-connections N] "
                  "[--max-pending N] [--max-inflight N]\n"
                  "       [--snapshot-load FILE] [--snapshot-save FILE] "
@@ -143,16 +146,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             opts.ioThreads = std::atoi(v);
-        } else if (arg == "--window-us") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.batchWindowUs = std::atoi(v);
-        } else if (arg == "--max-batch") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.maxBatch = static_cast<std::size_t>(std::atoll(v));
         } else if (arg == "--read-timeout-ms") {
             const char *v = next();
             if (!v)
@@ -217,10 +210,9 @@ main(int argc, char **argv)
     if (opts.tcpPort >= 0)
         std::printf("serving on %s:%d\n", opts.tcpHost.c_str(),
                     srv.tcpPort());
-    std::printf("engine: %d worker thread(s), %d io loop(s), admission "
-                "window %d us, max batch %zu\n",
-                eng.numThreads(), opts.ioThreads, opts.batchWindowUs,
-                opts.maxBatch);
+    std::printf("engine: %d lane(s) (collector + %d helper thread(s)), "
+                "%d io loop(s), self-clocking batches\n",
+                eng.numThreads(), eng.numThreads() - 1, opts.ioThreads);
     std::printf("limits: read deadline %d ms, %zu connections, "
                 "%zu pending, %zu in-flight per connection\n",
                 opts.readTimeoutMs, opts.maxConnections, opts.maxPending,

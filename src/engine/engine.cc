@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "engine/thread_pool.h"
-#include "facile/component.h"
 
 namespace facile::engine {
 
@@ -122,26 +121,13 @@ struct PredictionEngine::Impl
     AnalysisShard analysisShards[kShards];
     PredictionShard predictionShards[kShards];
 
-    /**
-     * One component-pipeline scratch per pool worker: scratch
-     * ownership is explicit (a worker's index selects its scratch),
-     * not thread_local-scattered, and a worker's buffers stay warm
-     * across batches.
-     */
-    std::vector<std::unique_ptr<model::PredictScratch>> workerScratch;
-
     explicit Impl(Options o)
         : opts(o),
           pool(o.numThreads > 0
                    ? o.numThreads
                    : static_cast<int>(
                          std::max(1u, std::thread::hardware_concurrency())))
-    {
-        workerScratch.reserve(static_cast<std::size_t>(pool.size()));
-        for (int i = 0; i < pool.size(); ++i)
-            workerScratch.push_back(
-                std::make_unique<model::PredictScratch>());
-    }
+    {}
 
     std::shared_ptr<const bb::BasicBlock>
     analyzeCached(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
@@ -177,13 +163,14 @@ struct PredictionEngine::Impl
     }
 
     /**
-     * Core lookup-or-compute. The visitor sees the prediction without
-     * a copy: on cache hits it runs under the owning shard lock with a
+     * Core lookup-or-compute on the calling thread's scratch (each lane
+     * is its own thread). The visitor sees the prediction without a
+     * copy: on cache hits it runs under the owning shard lock with a
      * reference to the cached entry (the zero-copy serving path).
      */
     void
-    predictCachedVisit(const Request &req, BatchStats *stats, int worker,
-                       std::size_t index, model::PredictScratch &scratch,
+    predictCachedVisit(const Request &req, BatchStats *stats, int lane,
+                       std::size_t index,
                        const PredictionEngine::PredictionVisitor &visit)
     {
         std::string key;
@@ -194,7 +181,7 @@ struct PredictionEngine::Impl
             if (auto *hit = shard.find(key, opts.maxEntriesPerShard)) {
                 if (stats)
                     ++stats->predictionCacheHits;
-                visit(worker, index, *hit);
+                visit(lane, index, *hit);
                 return;
             }
         }
@@ -202,8 +189,8 @@ struct PredictionEngine::Impl
         model::Prediction p;
         try {
             auto blk = analyzeCached(req.bytes, req.arch, stats);
-            p = model::predict(*blk, req.loop, req.config, scratch,
-                               req.payload);
+            p = model::predict(*blk, req.loop, req.config,
+                               model::tlsPredictScratch(), req.payload);
         } catch (const std::exception &) {
             p = model::Prediction{}; // malformed block: throughput 0
         }
@@ -216,15 +203,15 @@ struct PredictionEngine::Impl
             if (!shard.find(key, opts.maxEntriesPerShard))
                 shard.insert(std::move(key), p, opts.maxEntriesPerShard);
         }
-        visit(worker, index, p);
+        visit(lane, index, p);
     }
 
-    /** Calling-thread path (predictOne): uses the thread's scratch. */
+    /** Calling-thread path (predictOne). */
     model::Prediction
     predictCached(const Request &req, BatchStats *stats)
     {
         model::Prediction out;
-        predictCachedVisit(req, stats, 0, 0, model::tlsPredictScratch(),
+        predictCachedVisit(req, stats, 0, 0,
                            [&out](int, std::size_t,
                                   const model::Prediction &p) { out = p; });
         return out;
@@ -248,34 +235,12 @@ PredictionEngine::predictBatch(const std::vector<Request> &batch,
                                BatchStats *stats)
 {
     std::vector<model::Prediction> out(batch.size());
-    if (batch.empty())
-        return out;
-
-    std::atomic<std::size_t> analysisHits{0}, predictionHits{0},
-        analyzed{0};
-
-    impl_->pool.parallelForWorker(
-        batch.size(), [&](int worker, std::size_t i) {
-            BatchStats local;
-            impl_->predictCachedVisit(
-                batch[i], stats ? &local : nullptr, worker, i,
-                *impl_->workerScratch[static_cast<std::size_t>(worker)],
-                [&out](int, std::size_t idx, const model::Prediction &p) {
-                    out[idx] = p;
-                });
-            if (stats) {
-                analysisHits += local.analysisCacheHits;
-                predictionHits += local.predictionCacheHits;
-                analyzed += local.analyzed;
-            }
-        });
-
-    if (stats) {
-        stats->requests += batch.size();
-        stats->analysisCacheHits += analysisHits;
-        stats->predictionCacheHits += predictionHits;
-        stats->analyzed += analyzed;
-    }
+    predictBatchVisit(
+        batch,
+        [&out](int, std::size_t i, const model::Prediction &p) {
+            out[i] = p;
+        },
+        stats);
     return out;
 }
 
@@ -291,12 +256,10 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
         analyzed{0};
 
     impl_->pool.parallelForWorker(
-        batch.size(), [&](int worker, std::size_t i) {
+        batch.size(), [&](int lane, std::size_t i) {
             BatchStats local;
-            impl_->predictCachedVisit(
-                batch[i], stats ? &local : nullptr, worker, i,
-                *impl_->workerScratch[static_cast<std::size_t>(worker)],
-                visit);
+            impl_->predictCachedVisit(batch[i], stats ? &local : nullptr,
+                                      lane, i, visit);
             if (stats) {
                 analysisHits += local.analysisCacheHits;
                 predictionHits += local.predictionCacheHits;

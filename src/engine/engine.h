@@ -7,17 +7,19 @@
  * turns the single-block predictor into a service-shaped batch engine:
  *
  *   - a batch of (bytes, arch, loop, config) requests is fanned out
- *     over a fixed worker pool (uneven block cost load-balances via a
- *     shared work index);
+ *     over numThreads() lanes: the calling thread is lane 0 and helper
+ *     threads are lanes 1..N-1. Every lane claims fixed-size chunks of
+ *     the batch with one fetch_add each, so uneven block cost
+ *     load-balances, and a batch of one chunk never leaves the caller
+ *     (thread_pool.h);
  *   - a sharded per-arch analysis cache keyed on the raw block bytes
  *     lets repeated blocks skip decoding and uop lookup entirely;
  *   - a second-level prediction cache keyed additionally on the
  *     throughput notion, the ablation config, and the payload depth
  *     short-circuits fully repeated requests;
- *   - one model::PredictScratch per pool worker (see
- *     facile/component.h) makes the whole component pipeline
- *     allocation-free in steady state, with scratch ownership explicit
- *     instead of thread_local-scattered;
+ *   - each lane uses its thread's model::tlsPredictScratch() (see
+ *     facile/component.h), which makes the whole component pipeline
+ *     allocation-free in steady state;
  *   - requests default to Payload::None: the serving path computes
  *     bounds and bottleneck classification but skips the
  *     interpretability payload unless a request asks for it.
@@ -73,7 +75,10 @@ struct BatchStats
 
 struct EngineOptions
 {
-    /** Worker threads; 0 picks std::thread::hardware_concurrency. */
+    /**
+     * Lanes: the calling thread plus numThreads - 1 helper threads, so
+     * 1 starts no thread. 0 picks std::thread::hardware_concurrency.
+     */
     int numThreads = 0;
 
     /** Master switch for both cache levels. */
@@ -102,6 +107,7 @@ class PredictionEngine
     PredictionEngine(const PredictionEngine &) = delete;
     PredictionEngine &operator=(const PredictionEngine &) = delete;
 
+    /** Lanes, the caller's included (at least 1). */
     int numThreads() const;
 
     /**
@@ -117,21 +123,23 @@ class PredictionEngine
                  BatchStats *stats = nullptr);
 
     /**
-     * Visitor over one prediction: (worker, requestIndex, prediction).
-     * worker is the stable pool-worker index in [0, numThreads()).
+     * Visitor over one prediction: (lane, requestIndex, prediction).
+     * lane is in [0, numThreads()): 0 is the calling thread, w > 0 is
+     * helper thread w. Within one call, no two visits that run at the
+     * same time share a lane.
      */
     using PredictionVisitor =
         std::function<void(int, std::size_t, const model::Prediction &)>;
 
     /**
      * As predictBatch, but instead of materializing a result vector
-     * the engine calls visit(worker, i, prediction) once per request —
+     * the engine calls visit(lane, i, prediction) once per request —
      * on prediction-cache hits with a reference to the cached entry,
      * so the serving hot path copies nothing. Calls happen on the
-     * worker threads, concurrently for distinct i; the reference is
-     * valid only for the duration of the call (on hits it is made
-     * under the owning shard lock, so visitors must be brief and must
-     * not re-enter the engine).
+     * calling thread and the helpers, concurrently for distinct i; the
+     * reference is valid only for the duration of the call (on hits it
+     * is made under the owning shard lock, so visitors must be brief
+     * and must not re-enter the engine).
      */
     void predictBatchVisit(const std::vector<Request> &batch,
                            const PredictionVisitor &visit,
@@ -150,17 +158,20 @@ class PredictionEngine
             BatchStats *stats = nullptr);
 
     /**
-     * Run body(i) for all i in [0, n) on the worker pool; blocks until
+     * Run body(i) for all i in [0, n) across the lanes; blocks until
      * complete. Exposed so the eval harness can drive suite preparation
-     * and predictor sweeps through the same pool.
+     * and predictor sweeps through the same pool. A call from inside a
+     * body runs inline on the current lane. If a body throws, the
+     * remaining indices are abandoned and the first exception is
+     * rethrown here.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * As parallelFor, with the stable pool-worker index in
-     * [0, numThreads()) as the first argument — the hook callers use
-     * to bind one PredictScratch (or any per-lane state) per worker.
+     * As parallelFor, with the lane index in [0, numThreads()) as the
+     * first argument — the hook callers use to bind one PredictScratch
+     * (or any per-lane state) per lane.
      */
     void
     parallelForWorker(std::size_t n,
@@ -189,7 +200,7 @@ class PredictionEngine
     void importPredictionCacheEntry(std::string key,
                                     model::Prediction pred);
 
-    /** Process-wide shared engine (hardware-concurrency threads). */
+    /** Process-wide shared engine (hardware-concurrency lanes). */
     static PredictionEngine &shared();
 
   private:

@@ -7,7 +7,7 @@
  * table and figure of the paper.
  *
  * Suite preparation and predictor sweeps run through the shared
- * PredictionEngine worker pool, so the paper harness and the batch
+ * PredictionEngine's lanes, so the paper harness and the batch
  * serving path exercise the same code.
  */
 #ifndef FACILE_EVAL_HARNESS_H
@@ -59,7 +59,7 @@ struct ArchSuite
  * Analyze and measure the given benchmarks on @p arch. The measurement
  * pass (cycle-level simulation of every block in both variants) is the
  * expensive part; prepare once and evaluate many predictors against it.
- * Analysis and simulation fan out over @p engine's worker pool.
+ * Analysis and simulation fan out over @p engine's lanes.
  */
 ArchSuite prepare(uarch::UArch arch,
                   const std::vector<bhive::Benchmark> &benchmarks,

@@ -35,9 +35,9 @@ namespace facile::model {
 /**
  * Per-thread scratch for the whole component pipeline. Replaces the
  * thread_local buffers previously scattered across predec/dec/ports/
- * precedence: ownership is explicit — the engine keeps one instance
- * per pool worker, the eval harness one per worker lane, serial tools
- * one per thread (or tlsPredictScratch()). All buffers keep their
+ * precedence: ownership is explicit — each engine lane uses its
+ * thread's tlsPredictScratch(), the eval harness keeps one per lane,
+ * serial tools one per thread. All buffers keep their
  * capacity across calls, so steady-state prediction allocates nothing
  * beyond what the caller asks for (payload vectors).
  *

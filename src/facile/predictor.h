@@ -68,8 +68,8 @@ enum class Payload : std::uint8_t {
 /**
  * Per-thread scratch bundle for the whole component pipeline (defined
  * in facile/component.h). One instance per thread; ownership is
- * explicit — the engine keeps one per pool worker, serial callers
- * either keep their own or use tlsPredictScratch().
+ * explicit — each engine lane uses its thread's tlsPredictScratch();
+ * serial callers either keep their own or use it too.
  */
 struct PredictScratch;
 

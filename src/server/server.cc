@@ -85,7 +85,7 @@ struct PredictionServer::Impl
         /**
          * PREDICT requests admitted but not yet answered, gating the
          * per-connection in-flight quota. Incremented at admission,
-         * decremented by engine workers as responses are serialized —
+         * decremented by engine lanes as responses are serialized —
          * both sides relaxed; the quota is a bound, not a
          * synchronization point.
          */
@@ -148,7 +148,7 @@ struct PredictionServer::Impl
     std::atomic<std::size_t> queuedCount{0};
 
     // Hot-path counters (per frame / per event, touched by io threads
-    // and engine workers — atomics, no lock).
+    // and engine lanes — atomics, no lock).
     std::atomic<std::uint64_t> requestCount{0};
     std::atomic<std::uint64_t> overloadedQueue{0};
     std::atomic<std::uint64_t> overloadedConn{0};
@@ -689,53 +689,61 @@ struct PredictionServer::Impl
 
     // ---- admission batching ----------------------------------------------
 
-    /** Per-worker response staging: worker w owns workerBufs[w]. */
+    /** Per-lane response staging: lane w owns laneBufs[w]. */
     struct ConnBuf
     {
         std::shared_ptr<Conn> conn;
         std::vector<std::uint8_t> buf;
     };
 
-    /** Scatter-gather flush unit: one conn, its per-worker buffers. */
+    /** Scatter-gather flush unit: one conn, its per-lane buffers. */
     struct FlushEntry
     {
         Conn *conn = nullptr;
         std::vector<iovec> iov;
     };
 
-    /** Pop everything available, up to @p room more entries. */
+    /**
+     * Pop everything the ring holds, at most one ring's worth: with
+     * the maxPending gate off, producers could otherwise refill it
+     * faster than this loop empties it.
+     */
     std::size_t
-    drainRing(std::vector<Pending> &batch, std::size_t room)
+    drainRing(std::vector<Pending> &batch)
     {
         Pending p;
         std::size_t got = 0;
-        while (got < room && ring->tryPop(p)) {
+        while (got < ring->capacity() && ring->tryPop(p)) {
             batch.push_back(std::move(p));
             ++got;
         }
         return got;
     }
 
+    /**
+     * Self-clocking admission: a batch is everything in the ring when
+     * the collector comes back from the previous batch, so a lone
+     * request is submitted at once and a burst that arrives while a
+     * batch runs becomes the next batch. There is no timer and no size
+     * knob.
+     */
     void
     collectorLoop()
     {
         std::vector<Pending> batch;
         std::vector<engine::Request> reqs;
         std::vector<std::size_t> order; // batch index, submission order
-        std::vector<std::vector<ConnBuf>> workerBufs(
+        std::vector<std::vector<ConnBuf>> laneBufs(
             static_cast<std::size_t>(engine->numThreads()));
         std::vector<FlushEntry> flushes;
 
-        const std::size_t cap =
-            opts.maxBatch > 0 ? opts.maxBatch : ring->capacity();
-
         for (;;) {
             batch.clear();
-            // Block until the first request of a burst (or shutdown:
-            // the ring is drained before exiting, so every admitted
-            // request still gets an answer while stop() holds the
-            // connection fds open).
-            while (drainRing(batch, 1) == 0) {
+            // Block until work arrives (or shutdown: the ring is
+            // drained before exiting, so every admitted request still
+            // gets an answer while stop() holds the connection fds
+            // open).
+            while (drainRing(batch) == 0) {
                 if (stopping.load(std::memory_order_acquire))
                     return;
                 pollfd pf{collectorWakeFd, POLLIN, 0};
@@ -747,47 +755,10 @@ struct PredictionServer::Impl
                     ::poll(&pf, 1, -1);
                 drainWakeFd(collectorWakeFd);
             }
-            // Admission window: wait for stragglers of the burst;
-            // maxBatch pending closes the window early. ppoll keeps
-            // the sub-millisecond window of the old condition-variable
-            // collector.
-            if (opts.batchWindowUs > 0) {
-                const auto deadline =
-                    Clock::now() +
-                    std::chrono::microseconds(opts.batchWindowUs);
-                while (batch.size() < cap &&
-                       !stopping.load(std::memory_order_acquire)) {
-                    if (drainRing(batch, cap - batch.size()) > 0)
-                        continue;
-                    const auto now = Clock::now();
-                    if (now >= deadline)
-                        break;
-                    const auto ns =
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(deadline - now);
-                    timespec ts{};
-                    ts.tv_sec =
-                        static_cast<time_t>(ns.count() / 1000000000);
-                    ts.tv_nsec =
-                        static_cast<long>(ns.count() % 1000000000);
-                    pollfd pf{collectorWakeFd, POLLIN, 0};
-                    const auto fa =
-                        testing::faultPoint("server.collector_poll", 0);
-                    if (!fa.err)
-                        ::ppoll(&pf, 1, &ts, nullptr);
-                    drainWakeFd(collectorWakeFd);
-                }
-            }
-            // Final sweep: submit everything pending, not just
-            // maxBatch — closing the window early must not split one
-            // burst into several engine fan-outs (the ring bounds the
-            // sweep). This matches the pre-event-loop collector, which
-            // grabbed the whole admission queue at window close.
-            drainRing(batch, ring->capacity());
             if (opts.maxPending > 0)
                 queuedCount.fetch_sub(batch.size(),
                                       std::memory_order_relaxed);
-            submitBatch(batch, reqs, order, workerBufs, flushes);
+            submitBatch(batch, reqs, order, laneBufs, flushes);
         }
     }
 
@@ -795,7 +766,7 @@ struct PredictionServer::Impl
     submitBatch(std::vector<Pending> &batch,
                 std::vector<engine::Request> &reqs,
                 std::vector<std::size_t> &order,
-                std::vector<std::vector<ConnBuf>> &workerBufs,
+                std::vector<std::vector<ConnBuf>> &laneBufs,
                 std::vector<FlushEntry> &flushes)
     {
         // Group requests per arch (stable counting sort) so one engine
@@ -828,12 +799,12 @@ struct PredictionServer::Impl
         for (std::size_t i : order)
             reqs.push_back(std::move(batch[i].req));
 
-        // Zero-copy serving: each engine worker serializes predictions
+        // Zero-copy serving: each engine lane serializes predictions
         // straight from the cache into its own per-connection staging
-        // buffer (no Prediction copies, no locks between workers).
-        // Responses are matched by id, so the worker interleaving is
+        // buffer (no Prediction copies, no locks between lanes).
+        // Responses are matched by id, so the lane interleaving is
         // invisible to clients.
-        for (auto &bufs : workerBufs) {
+        for (auto &bufs : laneBufs) {
             for (auto it = bufs.begin(); it != bufs.end();) {
                 it->buf.clear(); // keep capacity across batches
                 if (!it->conn->open.load())
@@ -845,12 +816,12 @@ struct PredictionServer::Impl
         engine::BatchStats bs;
         engine->predictBatchVisit(
             reqs,
-            [&](int worker, std::size_t k,
+            [&](int lane, std::size_t k,
                 const model::Prediction &pred) {
                 Pending &p = batch[order[k]];
                 p.conn->inflight.fetch_sub(1,
                                            std::memory_order_relaxed);
-                auto &bufs = workerBufs[static_cast<std::size_t>(worker)];
+                auto &bufs = laneBufs[static_cast<std::size_t>(lane)];
                 ConnBuf *cb = nullptr;
                 for (auto &b : bufs)
                     if (b.conn.get() == p.conn.get()) {
@@ -875,13 +846,13 @@ struct PredictionServer::Impl
             counters.analyzed += bs.analyzed;
         }
 
-        // Scatter-gather flush: group every worker's buffer for the
+        // Scatter-gather flush: group every lane's buffer for the
         // same connection into one iovec list and push it with a
         // single vectored write. A short write leaves the tail in the
         // connection's WriteQueue and arms EPOLLOUT on its io loop;
         // closed peers drop silently.
         flushes.clear();
-        for (auto &bufs : workerBufs) {
+        for (auto &bufs : laneBufs) {
             for (auto &b : bufs) {
                 if (b.buf.empty())
                     continue;

@@ -16,16 +16,18 @@
  *                lock-free MPSC ring (mpsc_ring.h)
  *            |
  *            v
- *   admission ring  --  collector thread drains the ring, groups
- *                       requests for up to batchWindowUs or until
- *                       maxBatch are pending, orders them arch-major,
- *                       and submits ONE engine batch
+ *   admission ring  --  collector thread: a batch is everything in
+ *                       the ring when it returns from the previous
+ *                       batch (self-clocking: no timer, no size knob);
+ *                       orders it arch-major and submits ONE engine
+ *                       batch
  *            |
  *            v
- *   PredictionEngine (worker pool, sharded two-generation caches,
- *                     zero-alloc hot paths; workers serialize
- *                     responses straight from the cache into
- *                     per-(worker, connection) buffers)
+ *   PredictionEngine (the collector is lane 0, helper threads join by
+ *                     chunks; sharded two-generation caches,
+ *                     zero-alloc hot paths; lanes serialize responses
+ *                     straight from the cache into per-(lane,
+ *                     connection) buffers)
  *            |
  *            v
  *   scatter-gather flush: one writev-style sendmsg gathers a
@@ -34,11 +36,12 @@
  *
  * The admission batching is what lets wire serving inherit the batch
  * engine's economics: a burst of N requests from any mix of clients
- * costs one pool fan-out, and repeated blocks collapse into cache
- * hits. Responses carry the client-chosen request id, so clients may
- * pipeline arbitrarily deep; per-connection frame order across batches
- * follows submission order of the batches, but within one batch the
- * order is the engine's — match by id.
+ * costs one engine fan-out, and repeated blocks collapse into cache
+ * hits. A lone request pays no wait: it is submitted as soon as the
+ * collector is free. Responses carry the client-chosen request id, so
+ * clients may pipeline arbitrarily deep; per-connection frame order
+ * across batches follows submission order of the batches, but within
+ * one batch the order is the engine's — match by id.
  */
 #ifndef FACILE_SERVER_SERVER_H
 #define FACILE_SERVER_SERVER_H
@@ -65,17 +68,6 @@ struct ServerOptions
 
     /** TCP bind address. Loopback by default; widen deliberately. */
     std::string tcpHost = "127.0.0.1";
-
-    /**
-     * Admission window in microseconds: after the first request of a
-     * batch arrives, the collector waits up to this long for more
-     * before submitting, so bursts coalesce into one engine fan-out.
-     * 0 submits whatever is pending immediately.
-     */
-    int batchWindowUs = 200;
-
-    /** Admission batch size that closes the window early. */
-    std::size_t maxBatch = 1024;
 
     /**
      * Number of epoll reader loops (io threads). One loop drives

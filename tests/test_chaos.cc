@@ -4,12 +4,13 @@
  * robustness layer exists to serve. A prediction server runs in a
  * CHILD process; a fleet of self-healing clients (ResilientClient,
  * connection count adapted to RLIMIT_NOFILE toward a 256-connection
- * target) sustains pipelined traffic against it. Mid-traffic the
- * parent SIGKILLs the server, tears the primary snapshot file the way
- * a mid-write kill would, and respawns the server warm — it must fall
- * back to the previous snapshot generation, and every client must
- * reconnect and replay with ZERO caller-visible failures and
- * bit-identical predictions throughout.
+ * target) sustains pipelined traffic against it. Once a quarter of a
+ * pass's operations have completed, the parent SIGKILLs the server,
+ * tears the primary snapshot file the way a mid-write kill would, and
+ * respawns the server warm — it must fall back to the previous
+ * snapshot generation, and every client must reconnect and replay
+ * with ZERO caller-visible failures and bit-identical predictions
+ * throughout.
  *
  * In FACILE_FAULT_INJECT builds the child additionally runs with
  * env-armed chaos (FACILE_FAULT_SEED / FACILE_FAULT_ONE_IN): seeded
@@ -195,6 +196,24 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
 
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::size_t> opFailures{0};
+    std::atomic<std::size_t> opsDone{0}; // completed fleet operations
+    auto runOp = [&](ResilientClient &client,
+                     std::vector<model::Prediction> &out) {
+        try {
+            client.predictManyInto(batch, out);
+        } catch (const std::exception &) {
+            ++opFailures;
+            return;
+        }
+        if (out.size() != expected.size()) {
+            ++mismatches;
+            return;
+        }
+        for (std::size_t i = 0; i < out.size(); ++i)
+            if (std::memcmp(&out[i].throughput, &expected[i].throughput,
+                            sizeof(double)) != 0)
+                ++mismatches;
+    };
     auto runPass = [&](std::size_t iterations) {
         std::vector<std::thread> workers;
         for (std::size_t t = 0; t < threads; ++t)
@@ -202,21 +221,9 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
                 std::vector<model::Prediction> out;
                 for (std::size_t it = 0; it < iterations; ++it)
                     for (auto &client : fleetByThread[t]) {
-                        try {
-                            client.predictManyInto(batch, out);
-                        } catch (const std::exception &) {
-                            ++opFailures;
-                            continue;
-                        }
-                        if (out.size() != expected.size()) {
-                            ++mismatches;
-                            continue;
-                        }
-                        for (std::size_t i = 0; i < out.size(); ++i)
-                            if (std::memcmp(&out[i].throughput,
-                                            &expected[i].throughput,
-                                            sizeof(double)) != 0)
-                                ++mismatches;
+                        runOp(client, out);
+                        opsDone.fetch_add(1);
+                        opsDone.notify_all();
                     }
             });
         for (auto &w : workers)
@@ -239,9 +246,25 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
         ASSERT_EQ(saves, 2) << "server never committed two snapshots";
     }
 
+    auto retriedSoFar = [&] {
+        std::uint64_t retried = 0;
+        for (auto &perThread : fleetByThread)
+            for (auto &client : perThread)
+                retried += client.selfHealStats().retriedRequests;
+        return retried;
+    };
+
     // ---- phase 2: SIGKILL mid-traffic, tear the snapshot, respawn -
+    // The kill is clocked by progress, not by a sleep: it lands once a
+    // quarter of this pass's operations have completed, however fast
+    // the server answers.
+    constexpr std::size_t kPass2Iterations = 4;
+    const std::size_t killAt =
+        opsDone.load() + kPass2Iterations * fleet / 4;
+    const std::uint64_t retriedBefore = retriedSoFar();
     std::thread chaos([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+        for (std::size_t done; (done = opsDone.load()) < killAt;)
+            opsDone.wait(done);
         ASSERT_EQ(::kill(server, SIGKILL), 0);
         int status = 0;
         ASSERT_EQ(::waitpid(server, &status, 0), server);
@@ -258,8 +281,10 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
         ASSERT_GT(server, 0);
         EXPECT_TRUE(waitForServer(sock)) << "warm server never came up";
     });
-    runPass(4); // the kill lands inside this pass
+    runPass(kPass2Iterations); // the kill lands inside this pass
     chaos.join();
+    EXPECT_GT(retriedSoFar(), retriedBefore)
+        << "no request was replayed during the pass the kill landed in";
 
     // One more full pass with the warm server definitely up: any
     // client that finished pass 2 before the kill still holds a dead
@@ -275,15 +300,13 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     // reconnected, and the warm restart fell back past the torn
     // primary (server-side counter over the wire, client counters
     // merged in by ResilientClient::stats()).
-    std::uint64_t reconnects = 0, retried = 0;
+    std::uint64_t reconnects = 0;
     for (auto &perThread : fleetByThread)
-        for (auto &client : perThread) {
+        for (auto &client : perThread)
             reconnects += client.selfHealStats().reconnects;
-            retried += client.selfHealStats().retriedRequests;
-        }
     EXPECT_GE(reconnects, fleet)
         << "every held connection died with the server";
-    EXPECT_GE(retried, fleet * batch.size());
+    EXPECT_GE(retriedSoFar(), fleet * batch.size());
 
     auto admin = ResilientClient::forUnix(sock, policy);
     ServerStats s = admin.stats();

@@ -89,7 +89,7 @@ struct Fleet
     std::vector<std::unique_ptr<server::PredictionServer>> servers;
     std::vector<Endpoint> endpoints;
 
-    explicit Fleet(std::size_t n, int batchWindowUs = 0)
+    explicit Fleet(std::size_t n)
     {
         for (std::size_t i = 0; i < n; ++i) {
             engines.push_back(std::make_unique<engine::PredictionEngine>(
@@ -97,7 +97,6 @@ struct Fleet
             server::ServerOptions o;
             o.unixPath = freshUnixPath();
             o.engine = engines.back().get();
-            o.batchWindowUs = batchWindowUs;
             servers.push_back(
                 std::make_unique<server::PredictionServer>(o));
             servers.back()->start();

@@ -1,18 +1,27 @@
 /**
  * @file
  * PredictionEngine tests: batch results are bit-identical to the serial
- * predictor for 1 and N worker threads, cache hits return the same
- * Prediction (bottlenecks and critical chain included) as cold calls,
- * stats counters add up, and malformed blocks follow the throughput-0
- * crash protocol.
+ * predictor for 1 and N lanes, cache hits return the same Prediction
+ * (bottlenecks and critical chain included) as cold calls, stats
+ * counters add up, and malformed blocks follow the throughput-0 crash
+ * protocol. The EnginePool suite pins the fan-out contract: every index
+ * once, no lane shared by concurrent bodies, the caller as lane 0 that
+ * never waits on an unstarted helper, exceptions from any lane, and no
+ * thread for a one-lane engine.
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <future>
+#include <latch>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "bhive/generator.h"
 #include "engine/engine.h"
@@ -288,47 +297,193 @@ TEST(Engine, EvictionStillBoundsCacheGrowth)
             << "request " << i;
 }
 
-TEST(Engine, ParallelForPropagatesExceptions)
-{
-    // A throwing body must surface on the calling thread (a worker
-    // unwinding would terminate the process) and abandon the loop.
-    PredictionEngine::Options opts;
-    opts.numThreads = 2;
-    PredictionEngine eng(opts);
-    EXPECT_THROW(eng.parallelFor(100,
-                                 [](std::size_t i) {
-                                     if (i == 5)
-                                         throw std::runtime_error("boom");
-                                 }),
-                 std::runtime_error);
-}
-
 TEST(Engine, NestedParallelForRunsInlineWithoutDeadlock)
 {
-    // parallelFor from inside a worker of the same pool must not wait
-    // on jobs no worker is free to run; the inner loop runs inline.
+    // parallelFor from inside a body of the same pool runs inline on
+    // the body's own lane, so the outer call's per-lane state is never
+    // shared with a second thread.
     PredictionEngine::Options opts;
     opts.numThreads = 2;
     PredictionEngine eng(opts);
 
-    std::atomic<int> count{0};
-    eng.parallelFor(4, [&](std::size_t) {
-        eng.parallelFor(3, [&](std::size_t) { ++count; });
+    std::atomic<int> count{0}, strayLanes{0};
+    eng.parallelForWorker(64, [&](int outer, std::size_t) {
+        const auto self = std::this_thread::get_id();
+        eng.parallelForWorker(3, [&](int inner, std::size_t) {
+            if (inner != outer || std::this_thread::get_id() != self)
+                ++strayLanes;
+            ++count;
+        });
     });
-    EXPECT_EQ(count.load(), 12);
+    EXPECT_EQ(strayLanes.load(), 0);
+    EXPECT_EQ(count.load(), 64 * 3);
 }
 
-TEST(Engine, ParallelForCoversAllIndices)
-{
-    PredictionEngine::Options opts;
-    opts.numThreads = 4;
-    PredictionEngine eng(opts);
+// ---- fan-out contract: lanes, chunked claims, lane 0 is the caller ---------
 
-    std::vector<int> hits(1000, 0);
-    eng.parallelFor(hits.size(),
-                    [&](std::size_t i) { hits[i] += 1; });
+TEST(EnginePool, EveryIndexRunsExactlyOnceOnAValidLane)
+{
+    for (int lanes : {1, 2, 4})
+        for (std::size_t n : {1u, 2u, 7u, 1000u}) {
+            PredictionEngine eng({.numThreads = lanes});
+            ASSERT_EQ(eng.numThreads(), lanes);
+            std::vector<std::atomic<int>> hits(n);
+            std::atomic<int> badLane{0};
+            eng.parallelForWorker(n, [&](int lane, std::size_t i) {
+                if (lane < 0 || lane >= lanes)
+                    ++badLane;
+                ++hits[i];
+            });
+            EXPECT_EQ(badLane.load(), 0) << lanes << " lanes, n " << n;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << lanes << " lanes, n " << n << ", index " << i;
+        }
+}
+
+TEST(EnginePool, ConcurrentBodiesNeverShareALane)
+{
+    // Per-lane state (scratch, response buffers) is unlocked, so two
+    // bodies running at once in one call must never see the same lane.
+    constexpr int kLanes = 4;
+    PredictionEngine eng({.numThreads = kLanes});
+    std::array<std::atomic<bool>, kLanes> busy{};
+    std::atomic<int> clashes{0};
+    for (int round = 0; round < 20; ++round)
+        eng.parallelForWorker(4000, [&](int lane, std::size_t) {
+            auto &flag = busy[static_cast<std::size_t>(lane)];
+            if (flag.exchange(true))
+                ++clashes;
+            std::this_thread::yield(); // widen the window for a clash
+            flag.store(false);
+        });
+    EXPECT_EQ(clashes.load(), 0);
+}
+
+TEST(EnginePool, CallerFinishesWhileEveryHelperIsBlocked)
+{
+    // The caller is lane 0 and claims chunks itself, so a call never
+    // waits on a helper that has not started: with every helper parked
+    // inside another call, a small parallelFor still completes.
+    constexpr int kLanes = 4;
+    PredictionEngine eng({.numThreads = kLanes});
+    std::latch release(1);
+    std::atomic<int> parked{0};
+    std::thread occupier([&] {
+        const auto self = std::this_thread::get_id();
+        eng.parallelForWorker(1000, [&](int, std::size_t) {
+            if (std::this_thread::get_id() != self) {
+                ++parked;
+                release.wait();
+                return;
+            }
+            // Hold the caller's lane so the helpers find chunks left
+            // to claim.
+            while (parked.load() < kLanes - 1)
+                std::this_thread::yield();
+        });
+    });
+    while (parked.load() < kLanes - 1)
+        std::this_thread::yield();
+
+    auto small = std::async(std::launch::async, [&] {
+        std::atomic<int> ran{0};
+        eng.parallelFor(64, [&](std::size_t) { ++ran; });
+        return ran.load();
+    });
+    const bool finished = small.wait_for(std::chrono::seconds(2)) ==
+                          std::future_status::ready;
+    release.count_down();
+    occupier.join();
+    EXPECT_TRUE(finished) << "parallelFor waited on parked helpers";
+    EXPECT_EQ(small.get(), 64);
+}
+
+TEST(EnginePool, ExceptionFromAnyLaneReachesTheCallerAndPoolIsReusable)
+{
+    // A helper must never unwind (that would terminate the process):
+    // the first exception surfaces on the caller and the loop stops.
+    PredictionEngine eng({.numThreads = 4});
+    for (const bool callerThrows : {true, false}) {
+        // The other lanes hold their first index until the thrower has
+        // thrown, so it is sure to find a chunk to claim.
+        std::atomic<bool> threw{false};
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        try {
+            eng.parallelForWorker(1000, [&](int lane, std::size_t) {
+                if ((lane == 0) == callerThrows) {
+                    threw = true;
+                    throw std::runtime_error(callerThrows ? "caller"
+                                                          : "helper");
+                }
+                while (!threw.load() &&
+                       std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::yield();
+            });
+            ADD_FAILURE() << "the exception was swallowed";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), callerThrows ? "caller" : "helper");
+        }
+    }
+
+    std::vector<std::atomic<int>> hits(1000);
+    eng.parallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i)
-        ASSERT_EQ(hits[i], 1) << "index " << i;
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+TEST(EnginePool, OneLaneStartsNoThreadAndOneIndexStaysOnTheCaller)
+{
+    // At most equal: a thread joined by an earlier test may still be
+    // leaving the task list.
+    const std::size_t before = threadCount();
+    PredictionEngine one({.numThreads = 1});
+    EXPECT_LE(threadCount(), before) << "a 1-lane engine started a thread";
+
+    // A one-request batch never leaves the caller, whatever the lanes.
+    PredictionEngine four({.numThreads = 4});
+    std::thread::id ranOn;
+    int ranLane = -1;
+    four.parallelForWorker(1, [&](int lane, std::size_t) {
+        ranOn = std::this_thread::get_id();
+        ranLane = lane;
+    });
+    EXPECT_EQ(ranOn, std::this_thread::get_id());
+    EXPECT_EQ(ranLane, 0);
+}
+
+TEST(EnginePool, ConcurrentCallersMatchSerial)
+{
+    // Every lane runs on its thread's own scratch, so two threads
+    // driving one engine at once (each is lane 0 of its own call) do
+    // not share pipeline state.
+    PredictionEngine eng({.numThreads = 2, .cacheEnabled = false});
+    const auto batch = makeBatch(/*withConfigs=*/true);
+    std::vector<Prediction> expect;
+    for (const auto &r : batch)
+        expect.push_back(serialPredict(r));
+    std::vector<Prediction> outA, outB;
+    std::thread a([&] { outA = eng.predictBatch(batch); });
+    std::thread b([&] { outB = eng.predictBatch(batch); });
+    a.join();
+    b.join();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_TRUE(bitIdentical(outA[i], expect[i])) << "request " << i;
+        EXPECT_TRUE(bitIdentical(outB[i], expect[i])) << "request " << i;
+    }
 }
 
 } // namespace

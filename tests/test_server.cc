@@ -461,7 +461,6 @@ TEST(ServerLimits, InFlightQuotaAnswersOverloadedAndRecovers)
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxInFlightPerConn = 2;
-    opts.batchWindowUs = 200000; // park admitted requests for 200ms
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
@@ -470,9 +469,11 @@ TEST(ServerLimits, InFlightQuotaAnswersOverloadedAndRecovers)
     const auto &b = suite().front();
     engine::Request req{b.bytesU, uarch::UArch::SKL, false, {}};
 
-    // Six pipelined requests against a quota of two: the four beyond
-    // the quota are answered Overloaded while the admitted two park in
-    // the admission window; all six get a response on one connection.
+    // Six pipelined requests against a quota of two, in one send: the
+    // io loop parses and admits the whole burst in one pass before it
+    // wakes the collector, so the four beyond the quota are answered
+    // Overloaded while the admitted two are still unanswered. All six
+    // get a response on one connection.
     int fd = rawConnectUnix(opts.unixPath);
     std::vector<std::uint8_t> frames;
     for (std::uint64_t id = 1; id <= 6; ++id)
@@ -514,7 +515,6 @@ TEST(ServerLimits, BoundedQueueShedsExcessAndServesTheRest)
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxPending = 3;
-    opts.batchWindowUs = 200000; // hold the queue full for 200ms
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
@@ -546,8 +546,9 @@ TEST(ServerLimits, BoundedQueueShedsExcessAndServesTheRest)
             ++overloaded;
         }
     }
-    // Exactly maxPending requests got through; the flood was shed
-    // with explicit backpressure, not buffered without bound.
+    // The burst is admitted in one io-loop pass, before the collector
+    // is woken, so exactly maxPending requests got through; the flood
+    // was shed with explicit backpressure, not buffered without bound.
     EXPECT_EQ(ok, 3);
     EXPECT_EQ(overloaded, 5);
     ::close(fd);
@@ -593,7 +594,6 @@ TEST(ServerLimits, ClientThrowsTypedOverloadedError)
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxInFlightPerConn = 1;
-    opts.batchWindowUs = 200000;
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
@@ -604,7 +604,9 @@ TEST(ServerLimits, ClientThrowsTypedOverloadedError)
         4, engine::Request{b.bytesU, uarch::UArch::SKL, false, {}});
     auto client = Client::connectUnix(opts.unixPath);
     try {
-        client.predictMany(reqs); // 4 pipelined vs quota of 1
+        // 4 pipelined in one send vs a quota of 1: the io loop admits
+        // the first and sheds the rest before the collector is woken.
+        client.predictMany(reqs);
         FAIL() << "expected ProtocolError";
     } catch (const ProtocolError &e) {
         EXPECT_EQ(e.status(), Status::Overloaded);
@@ -653,14 +655,14 @@ TEST(ServerEventLoop, ByteAtATimeRequestsServeBitIdentical)
 TEST(ServerEventLoop, CoalescedFloodShedsExactlyAndSurvivorsBitIdentical)
 {
     // 40 frames coalesced into ONE send against an admission bound of
-    // 16 held open by a long window: the server must read the burst in
-    // as few recvs as the kernel delivers, admit exactly the bound
-    // through the ring, shed the rest with OVERLOADED, and the
-    // surviving predictions must be bit-identical to serial.
+    // 16: the server must read the burst in as few recvs as the kernel
+    // delivers and admit it in one io-loop pass, before the collector
+    // is woken — exactly the bound through the ring, the rest shed with
+    // OVERLOADED — and the surviving predictions must be bit-identical
+    // to serial.
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxPending = 16;
-    opts.batchWindowUs = 200000;
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
