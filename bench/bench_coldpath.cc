@@ -1,25 +1,17 @@
 /**
  * @file
- * Cold-path throughput: uncached (analysis-cache-off) blocks/sec —
- * the rate at which the engine handles *never-seen* blocks, which is
- * what caps serving throughput for fresh traffic.
+ * Cold-path throughput: uncached blocks/sec — the rate at which the
+ * engine handles *never-seen* blocks, which is what caps serving
+ * throughput for fresh traffic.
  *
- * Two serial baselines bracket the measurement:
- *
- *   - "fresh" analysis (InternMode::Off): every instruction pays a full
- *     uops::lookup plus a heap-allocated InstrInfo copy — the pre-
- *     interning cold path;
- *   - interned analysis (the default): per-instruction results are
- *     memoized process-wide, so a never-seen *block* reuses the decode
- *     effort of every instruction seen before in any block (the
- *     BHive-style workload regime: a small instruction universe across
- *     millions of distinct blocks).
- *
- * The engine rows run with both engine cache levels disabled at 1/2/4/8
- * worker threads. Every prediction (serial interned and all engine
- * rows) is checked bit-identical to the fresh serial reference; the
- * binary exits non-zero on any mismatch. Results are written to
- * BENCH_coldpath.json.
+ * The serial reference row (serial_fresh) analyzes and predicts every
+ * block from scratch, as every miss does. The engine rows run with the
+ * prediction cache disabled at 1/2/4/8 worker threads. Every
+ * prediction is checked bit-identical to the serial reference; the
+ * binary exits non-zero on any mismatch. A warm-start round and a
+ * load-only round check, in fresh child processes, that predictions
+ * restored from a snapshot are bit-identical to cold ones. Results are
+ * written to BENCH_coldpath.json.
  */
 #include "bench_common.h"
 
@@ -28,7 +20,6 @@
 #include <cstring>
 #include <string>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
 #include "corpus/sections.h"
 #include "facile/component.h"
@@ -102,10 +93,9 @@ startupProbe(const char *snapshotPath)
 /**
  * Child mode (--startup-probe-loadonly SNAPSHOT|-): the load-cost
  * probe. Times only the snapshot load and the first single-block
- * prediction after it — the quantity the bound image optimizes
- * (O(pages touched) instead of O(records)) — and prints the load mode
- * the loader actually took plus a bit-exact digest of that
- * prediction. With "-" nothing is loaded: the cold reference.
+ * prediction after it, and prints the load mode the loader took plus a
+ * bit-exact digest of that prediction. With "-" nothing is loaded: the
+ * cold reference.
  */
 int
 startupProbeLoadOnly(const char *snapshotPath)
@@ -219,51 +209,29 @@ main(int argc, char **argv)
                 "ms/block", "speedup");
     bench::printRule();
 
-    // Serial cold paths, measured interleaved (alternating one fresh
-    // pass and one interned pass per round, minimum over the rounds
-    // for each) so load drift on a shared machine hits both sides
-    // equally and the speedup ratio stays meaningful. Both run the
-    // serving regime: explicit scratch, Payload::None (bounds and
-    // bottleneck classification, no interpretability payload) — the
-    // path the engine and server drive for fresh traffic.
-    //
-    //   fresh    — InternMode::Off: per-instruction decode + lookups
-    //              with per-block heap copies, the pre-interning
-    //              behavior; also the bit-identity oracle below.
-    //   interned — steady-state intern cache (the warm-up pass
-    //              populates it), mirroring a server that has seen the
-    //              instruction universe but none of the incoming
-    //              blocks.
+    // The serial reference: analyze + predict every block from
+    // scratch, in the serving regime (explicit scratch, Payload::None:
+    // bounds and bottleneck classification, no interpretability
+    // payload). Minimum over the rounds; also the bit-identity oracle
+    // below.
     model::PredictScratch scratch;
     std::vector<model::Prediction> fresh(batch.size());
-    std::vector<model::Prediction> interned(batch.size());
     auto freshPass = [&] {
         for (std::size_t i = 0; i < batch.size(); ++i)
-            fresh[i] = model::predict(
-                bb::analyze(batch[i].bytes, arch, bb::InternMode::Off),
-                loop, batch[i].config, scratch);
+            fresh[i] = model::predict(bb::analyze(batch[i].bytes, arch),
+                                      loop, batch[i].config, scratch);
     };
-    auto internedPass = [&] {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            interned[i] =
-                model::predict(bb::analyze(batch[i].bytes, arch), loop,
-                               batch[i].config, scratch);
-    };
-    double freshMs = 1e300, internedMs = 1e300;
-    freshPass();    // warm-up (and first oracle fill)
-    internedPass(); // warm-up (populates the intern cache)
+    double freshMs = 1e300;
+    freshPass(); // warm-up (and first oracle fill)
     const model::PredictCountersSnapshot countersBefore =
         model::predictCounters();
-    for (int round = 0; round < 8; ++round) {
+    for (int round = 0; round < 8; ++round)
         freshMs = std::min(freshMs, eval::bestOfRunsMs(freshPass, 1, false));
-        internedMs =
-            std::min(internedMs, eval::bestOfRunsMs(internedPass, 1, false));
-    }
     const model::PredictCountersSnapshot countersAfter =
         model::predictCounters();
     const double freshBps = 1000.0 * nBlocks / freshMs;
-    std::printf("%-34s %12.0f %10.5f %10s\n", "serial, fresh (pre-PR path)",
-                freshBps, freshMs / nBlocks, "1.00x");
+    std::printf("%-34s %12.0f %10.5f %10s\n", "serial, fresh", freshBps,
+                freshMs / nBlocks, "1.00x");
     report.row("serial_fresh");
     report.metric("threads", 1);
     report.metric("blocks_per_sec", freshBps);
@@ -278,72 +246,32 @@ main(int argc, char **argv)
             identical = false;
         }
     };
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        check(interned[i], i, "serial interned");
-    const double internedBps = 1000.0 * nBlocks / internedMs;
-    const double speedup = internedBps / freshBps;
-    std::printf("%-34s %12.0f %10.5f %9.2fx\n", "serial, interned",
-                internedBps, internedMs / nBlocks, speedup);
-    report.row("serial_interned");
-    report.metric("threads", 1);
-    report.metric("blocks_per_sec", internedBps);
 
-    // The lazy-payload split, machine-readably: the same interned
-    // serial pass with Payload::Full (eager criticalChain /
-    // contendedPorts / contendingInsts, the pre-refactor behavior of
-    // every call) vs the bound-only rate above. Full-payload results
-    // are checked for bit-identity against a fresh full-payload pass.
+    // The lazy-payload split: one Payload::Full pass must agree with
+    // the bound-only predictions on everything but the payload
+    // vectors.
     std::uint64_t fullPredictsDelta = 0;
     {
-        std::vector<model::Prediction> freshFull(batch.size());
-        std::vector<model::Prediction> full(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            freshFull[i] = model::predict(
-                bb::analyze(batch[i].bytes, arch, bb::InternMode::Off),
-                loop, batch[i].config, scratch, model::Payload::Full);
-        double fullMs = 1e300;
-        auto fullPass = [&] {
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                full[i] = model::predict(bb::analyze(batch[i].bytes, arch),
-                                         loop, batch[i].config, scratch,
-                                         model::Payload::Full);
-        };
-        fullPass(); // warm-up
         const model::PredictCountersSnapshot fullBefore =
             model::predictCounters();
-        for (int round = 0; round < 4; ++round)
-            fullMs = std::min(fullMs,
-                              eval::bestOfRunsMs(fullPass, 1, false));
-        fullPredictsDelta = model::predictCounters().fullPredicts -
-                            fullBefore.fullPredicts;
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!bench::samePrediction(full[i], freshFull[i])) {
-                std::fprintf(stderr, "MISMATCH full-payload vs fresh "
-                                     "full-payload at block %zu\n",
-                             i);
-                identical = false;
-            }
-            // The bound-only prediction must agree with the full one on
-            // everything but the payload vectors.
-            if (std::memcmp(&full[i].throughput, &interned[i].throughput,
+            const model::Prediction full = model::predict(
+                bb::analyze(batch[i].bytes, arch), loop, batch[i].config,
+                scratch, model::Payload::Full);
+            if (std::memcmp(&full.throughput, &fresh[i].throughput,
                             sizeof(double)) != 0 ||
-                full[i].primaryBottleneck != interned[i].primaryBottleneck) {
+                full.primaryBottleneck != fresh[i].primaryBottleneck) {
                 std::fprintf(stderr, "MISMATCH bound-only vs full payload "
                                      "at block %zu\n",
                              i);
                 identical = false;
             }
         }
-        const double fullBps = 1000.0 * nBlocks / fullMs;
-        std::printf("%-34s %12.0f %10.5f %9.2fx\n",
-                    "serial, interned + full payload", fullBps,
-                    fullMs / nBlocks, fullBps / freshBps);
-        report.row("serial_interned_full_payload");
-        report.metric("threads", 1);
-        report.metric("blocks_per_sec", fullBps);
+        fullPredictsDelta = model::predictCounters().fullPredicts -
+                            fullBefore.fullPredicts;
     }
 
-    // Per-block cold latency percentiles on the interned serial path.
+    // Per-block cold latency percentiles on the serial path.
     {
         std::vector<double> us;
         us.reserve(batch.size());
@@ -365,8 +293,8 @@ main(int argc, char **argv)
         report.scalar("p99_us", p99);
     }
 
-    // Engine rows: both engine cache levels off, so every block is
-    // analyzed and predicted from scratch (modulo interning).
+    // Engine rows: the prediction cache off, so every block is
+    // analyzed and predicted from scratch.
     for (int threads : {1, 2, 4, 8}) {
         engine::PredictionEngine::Options opts;
         opts.numThreads = threads;
@@ -393,12 +321,11 @@ main(int argc, char **argv)
 
     // Warm-start round: quantify what a persistent snapshot
     // (src/analysis/snapshot.h) buys a *fresh process*. The parent
-    // saves its warm state (intern arenas + a 1-thread engine's
-    // prediction cache over the suite); two children then each serve
-    // the full suite once through a caching engine — one from zero,
-    // one from the snapshot — and report wall time plus a bit-exact
-    // prediction digest. Matching digests are the cross-process
-    // bit-identity gate.
+    // saves a 1-thread engine's prediction cache over the suite; two
+    // children then each serve the full suite once through a caching
+    // engine — one from zero, one from the snapshot — and report wall
+    // time plus a bit-exact prediction digest. Matching digests are
+    // the cross-process bit-identity gate.
     double saveMs = 0.0, warmSpeedup = 0.0;
     double coldPassMs = 0.0, warmLoadMs = 0.0, warmPassMs = 0.0;
     double snapshotBytes = 0.0;
@@ -451,28 +378,17 @@ main(int argc, char **argv)
         std::remove(path.c_str());
     }
 
-    // Intern-cache stats are captured *before* the synthetic-universe
-    // round below bloats the arenas, so the reported hit rate keeps
-    // describing the timed rounds above.
-    const analysis::InternStats st = analysis::InstInterner::statsAllArchs();
-
-    // Snapshot load cost, in fresh child processes: the load binds the
-    // image and materializes records on first touch (O(pages
-    // touched)). A load-only child times the load plus the first
-    // single-block prediction, best of 3, and that prediction must be
-    // bit-identical to a cold child's. A second probe against a
-    // synthetically ~100x larger instruction universe (distinct MOV
-    // r32,imm32 encodings, SKL only; ~10x in quick mode) checks that
-    // the load cost grows by well under the record-count growth.
-    double loadMs = 0.0, firstMs = 0.0, load100Ms = 0.0;
-    double universeScale = 0.0;
-    bool loadMeasured = false, loadMeasured100 = false;
-    bool sublinear = false, firstIdentical = false;
+    // Snapshot load cost, in fresh child processes: a load-only child
+    // times the load of the suite's predictions plus the first
+    // single-block prediction (a cache hit), best of 3, and that
+    // prediction must be bit-identical to a cold child's.
+    double loadMs = 0.0, firstMs = 0.0;
+    bool loadMeasured = false, firstIdentical = false;
     {
+        engine::PredictionEngine snapEng({.numThreads = 1});
+        snapEng.predictBatch(batch);
         const std::string path =
             "facile_loadprobe_" + std::to_string(::getpid()) + ".snap";
-        // generations=1: plain atomic replace, nothing rotated to clean.
-        const analysis::SnapshotOptions opts{nullptr, 1};
         auto bestOf = [&](const std::string &snap, double &bestLoadMs,
                           double &bestFirstMs, int &mode,
                           std::uint64_t &digest) {
@@ -488,15 +404,9 @@ main(int argc, char **argv)
             }
             return ok;
         };
-        auto recordCount = [&] {
-            std::size_t n = 0;
-            analysis::InstInterner::forArch(arch).exportRecords(
-                [&](const std::uint8_t *, std::size_t,
-                    const analysis::InstRecord &) { ++n; });
-            return n;
-        };
         try {
-            analysis::saveSnapshot(path, opts);
+            // generations=1: plain atomic replace, nothing to clean.
+            analysis::saveSnapshot(path, {&snapEng, 1});
             int coldMode = 0, mode = 0;
             std::uint64_t coldDigest = 0, digest = 1;
             double coldLoadMs = 0.0, coldFirstMs = 0.0;
@@ -507,73 +417,29 @@ main(int argc, char **argv)
             if (loadMeasured) {
                 firstIdentical = coldDigest == digest;
                 std::printf(
-                    "snapshot load (fresh process): bind %.3f ms + first "
+                    "snapshot load (fresh process): load %.3f ms + first "
                     "predict %.3f ms vs cold first predict %.3f ms\n",
                     loadMs, firstMs, coldFirstMs);
                 if (mode !=
-                    static_cast<int>(analysis::SnapshotLoadMode::Bound))
+                    static_cast<int>(analysis::SnapshotLoadMode::Parsed))
                     std::printf("note: the load probe took load mode %d, "
-                                "not the bind\n",
+                                "not the parse\n",
                                 mode);
                 if (!firstIdentical) {
                     std::printf("first-predict bit identity (cold vs "
                                 "warm children): NO\n");
                     identical = false;
                 }
-            }
-
-            // Grow the universe: distinct 5-byte MOV r32,imm32
-            // encodings (0xB8+r, sequential immediates), eight per
-            // analyzed block, each a distinct intern key.
-            const std::size_t base = recordCount();
-            const std::size_t scale = bench::quickMode() ? 10 : 100;
-            std::uint32_t imm = 0x10000000;
-            std::vector<std::uint8_t> synth;
-            for (std::size_t made = 0; made < base * (scale - 1);) {
-                synth.clear();
-                for (int r = 0; r < 8 && made < base * (scale - 1);
-                     ++r, ++made, ++imm) {
-                    synth.push_back(static_cast<std::uint8_t>(0xB8 + r));
-                    for (int b = 0; b < 4; ++b)
-                        synth.push_back(
-                            static_cast<std::uint8_t>(imm >> (8 * b)));
-                }
-                bb::analyze(synth, arch);
-            }
-            universeScale =
-                base ? static_cast<double>(recordCount()) /
-                           static_cast<double>(base)
-                     : 0.0;
-
-            analysis::saveSnapshot(path, opts);
-            int m = 0;
-            std::uint64_t d = 0;
-            double f = 0.0;
-            loadMeasured100 = bestOf(path, load100Ms, f, m, d);
-            if (loadMeasured && loadMeasured100) {
-                const double growth = load100Ms / std::max(loadMs, 1e-3);
-                // Sublinear gate: the load cost must grow by less than
-                // a quarter of the record-count growth.
-                sublinear = growth < universeScale / 4.0;
-                std::printf("synthetic %.0fx universe: load %.3f ms "
-                            "(%.1fx growth) -> load scaling %s\n",
-                            universeScale, load100Ms, growth,
-                            sublinear ? "sublinear" : "NOT sublinear");
-            }
-            if (!loadMeasured || !loadMeasured100)
+            } else {
                 std::printf("note: load-only probe children failed; "
-                            "skipping the rest of the load round\n");
+                            "skipping the load round\n");
+            }
         } catch (const analysis::SnapshotError &e) {
             std::printf("note: %s; skipping the load round\n", e.what());
         }
         std::remove(path.c_str());
     }
-    const double hitRate = st.hitRate();
     bench::printRule();
-    std::printf("intern cache: %.1f%% hit rate (%llu hits, %llu distinct "
-                "instructions)\n",
-                100.0 * hitRate, static_cast<unsigned long long>(st.hits),
-                static_cast<unsigned long long>(st.misses));
 
     // Staged-pipeline counters over the timed serial rounds: how often
     // the precedence engines were skipped (self-carried-only dependence
@@ -588,7 +454,7 @@ main(int argc, char **argv)
                   : 0.0;
     // Deltas over the measured regions (same pattern as the skip rate):
     // the bound-only count covers the timed serial rounds, the
-    // full-payload count the timed full-payload rounds — not cumulative
+    // full-payload count the one full-payload pass — not cumulative
     // process totals, so restructuring the bench cannot silently skew
     // the checked-in trajectory.
     const std::uint64_t boundPredictsDelta =
@@ -598,15 +464,11 @@ main(int argc, char **argv)
                 100.0 * precSkipRate,
                 static_cast<unsigned long long>(precEvals));
     std::printf("lazy payload: %llu bound-only (timed serial rounds) vs "
-                "%llu full-payload (timed full rounds) predicts\n",
+                "%llu full-payload (one pass) predicts\n",
                 static_cast<unsigned long long>(boundPredictsDelta),
                 static_cast<unsigned long long>(fullPredictsDelta));
-    std::printf("interned vs fresh cold path: %.2fx (target >= 1.5x)\n",
-                speedup);
     std::printf("bit-identical to fresh serial predict: %s\n",
                 identical ? "yes" : "NO");
-    report.scalar("cache_hit_rate", hitRate);
-    report.scalar("speedup_vs_fresh", speedup);
     report.scalar("precedence_skip_rate", precSkipRate);
     report.scalar("precedence_evals",
                   static_cast<double>(precEvals));
@@ -628,15 +490,7 @@ main(int argc, char **argv)
         report.scalar("snapshot_v2_first_predict_ms", firstMs);
         report.boolean("v2_first_predict_identical", firstIdentical);
     }
-    if (loadMeasured && loadMeasured100) {
-        report.scalar("universe_scale", universeScale);
-        report.scalar("snapshot_v2_load_100x_ms", load100Ms);
-        report.boolean("v2_load_sublinear", sublinear);
-        report.row("snapshot_load_100x");
-        report.metric("v2_mmap_ms", load100Ms);
-    }
     report.boolean("bit_identical", identical);
-    report.boolean("speedup_target_met", speedup >= 1.5);
     report.write();
 
     return identical ? 0 : 1;

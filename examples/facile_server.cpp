@@ -36,8 +36,8 @@
  * the shutdown summary / STATS frame.
  *
  * Warm-start snapshots (src/analysis/snapshot.h): --snapshot-load
- * restores the instruction intern arenas and the engine's prediction
- * cache before the first request, so a restarted server serves warm
+ * restores the engine's prediction cache before the first request, so
+ * a restarted server answers the blocks its predecessor saw
  * immediately — falling back through rotated generations when the
  * newest file is torn (e.g. the previous process was SIGKILLed mid-
  * save), and starting cold if none loads. --snapshot-save configures
@@ -45,8 +45,7 @@
  * admin frame (server::Client::snapshot()), and once more on clean
  * shutdown. Saves are atomic (temp + fsync + rename), so a crash
  * never leaves the destination unloadable. Point both flags at the
- * same file for crash-restart round trips. A restart binds the image
- * in O(pages touched) instead of parsing it.
+ * same file for crash-restart round trips.
  */
 #include <atomic>
 #include <chrono>

@@ -6,11 +6,8 @@
  *
  * Input mapping: byte 0 selects the microarchitecture; the remainder
  * is the block image, truncated to kMaxBlockBytes exactly like the
- * wire protocol bounds it.
- *
- * InternMode::Off keeps every iteration self-contained: the process-
- * wide intern arenas are append-only by design, so fuzzing through
- * them would read as an unbounded leak and slow the run down.
+ * wire protocol bounds it. Analysis keeps no state between blocks,
+ * so every iteration is self-contained.
  */
 #include <algorithm>
 #include <cstddef>
@@ -33,8 +30,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     const std::size_t n = std::min(size - 1, server::kMaxBlockBytes);
     std::vector<std::uint8_t> bytes(data + 1, data + 1 + n);
     try {
-        bb::BasicBlock blk =
-            bb::analyze(std::move(bytes), arch, bb::InternMode::Off);
+        bb::BasicBlock blk = bb::analyze(std::move(bytes), arch);
         // Structural invariants every predictor downstream relies on:
         // annotations present, byte layout contiguous and in bounds.
         int prevEnd = 0;

@@ -4,11 +4,9 @@
  * (src/analysis/snapshot.h) — images can arrive from disk or over an
  * operator channel, so the parser must withstand arbitrary bytes.
  *
- * Drives validateSnapshot(), which runs the complete phase-1
- * parse-and-validate staging pass and commits nothing: the process-
- * wide intern arenas stay untouched whatever the input, which keeps
- * iterations independent. The harness asserts exactly that
- * (newRecords must stay 0) plus the reported size.
+ * Drives validateSnapshot(), which runs the complete parse-and-
+ * validate pass and commits nothing, so iterations stay independent.
+ * The harness asserts the reported size.
  */
 #include <cstddef>
 #include <cstdint>
@@ -21,7 +19,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     using namespace facile::analysis;
     try {
         const SnapshotStats st = validateSnapshot(data, size);
-        if (st.newRecords != 0)
+        if (st.loadMode != SnapshotLoadMode::None)
             __builtin_trap(); // validation must commit nothing
         if (st.bytes != size)
             __builtin_trap();

@@ -27,7 +27,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         return 0; // malformed image: rejection is the correct outcome
     }
     // A parsed image always rebuilds: the parse enforced everything the
-    // writer needs (unique keys, mirrored inline dependence data).
+    // writer needs (every prediction payload decodes).
     std::vector<std::uint8_t> img;
     try {
         img = buildSnapshotImage(m);

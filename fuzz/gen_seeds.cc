@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "analysis/snapshot.h"
-#include "bb/basic_block.h"
 #include "bhive/generator.h"
 #include "corpus/corpus.h"
+#include "engine/engine.h"
 #include "server/protocol.h"
 #include "uarch/config.h"
 
@@ -95,15 +95,24 @@ main(int argc, char **argv)
     // ---- snapshot: a real saved image ---------------------------------------
     // The same seed feeds the snaptool harness (model parse + rebuild).
     {
-        // Populate the intern arenas so the snapshot has sections.
-        for (const auto &b : suite) {
-            bb::analyze(b.bytesU, uarch::UArch::SKL);
-            bb::analyze(b.bytesL, uarch::UArch::HSW);
-        }
+        // An engine's prediction cache over two arches, both notions
+        // and both payload depths, so the section carries every kind
+        // of entry.
+        engine::PredictionEngine eng({.numThreads = 1});
+        std::vector<engine::Request> batch;
+        for (const auto &b : suite)
+            for (model::Payload payload :
+                 {model::Payload::None, model::Payload::Full}) {
+                batch.push_back(
+                    {b.bytesU, uarch::UArch::SKL, false, {}, payload});
+                batch.push_back(
+                    {b.bytesL, uarch::UArch::HSW, true, {}, payload});
+            }
+        eng.predictBatch(batch);
         const std::vector<std::uint8_t> img =
-            analysis::saveSnapshotToMemory();
-        writeSeed(out / "snapshot", "two_arch_image_v2", img);
-        writeSeed(out / "snaptool", "two_arch_image_v2", img);
+            analysis::saveSnapshotToMemory({&eng});
+        writeSeed(out / "snapshot", "two_arch_image_v3", img);
+        writeSeed(out / "snaptool", "two_arch_image_v3", img);
     }
 
     // ---- corpus: a closed two-record file ----------------------------------

@@ -7,11 +7,8 @@ a real regression:
 
   * any boolean gate that is true in the baseline but false in (or
     missing from) the fresh run (bit_identical, warm_bit_identical,
-    and the snapshot load gates — see BOOLEAN_GATES) FAILS
-    immediately — these are correctness or order-of-magnitude
-    structural gates, not timings (marginal timing-threshold booleans
-    like speedup_target_met are intentionally NOT hard gates; the
-    tolerance band on their rows covers them);
+    and the cross-process identity gates — see BOOLEAN_GATES) FAILS
+    immediately — these are correctness gates, not timings;
   * each row's blocks_per_sec is compared *normalized* to the bench's
     serial reference row (coldpath: serial_fresh, throughput: serial,
     server: serial), so a faster or slower CI machine shifts every row
@@ -79,20 +76,12 @@ REFERENCE_ROW = {
 # Boolean scalars that must never flip true -> false (and, once true
 # in the baseline, must keep appearing in fresh runs — a bench that
 # silently stops producing a gate must not pass). Only deterministic
-# gates belong here: timing-threshold booleans like coldpath's
-# speedup_target_met hover at their cutoff on noisy runners and are
-# covered by the tolerance band on the corresponding rows
-# (serial_interned vs serial_fresh) instead. The snapshot load-scaling
-# gate is the exception that proves the rule: it compares an
-# order-of-magnitude structural effect measured in the same run on the
-# same machine (scaling the record universe ~100x must grow the load
-# cost by less than a quarter of the record-count growth), so a flip
-# means the lazy bind broke, not that the runner was busy.
+# gates belong here: a timing threshold hovers at its cutoff on noisy
+# runners and is covered by the tolerance band on its rows instead.
 BOOLEAN_GATES = [
     "bit_identical",
     "warm_bit_identical",
     "v2_first_predict_identical",
-    "v2_load_sublinear",
     "wire_bootstrap_identical",
 ]
 

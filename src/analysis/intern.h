@@ -1,335 +1,32 @@
 /**
  * @file
- * Instruction-granular interning cache (see src/analysis/README.md).
+ * Interning counters, kept only for the repository benchmark.
  *
- * BHive-style workloads share a small universe of instructions across
- * millions of *distinct* basic blocks, so the engine's block-level
- * analysis cache never helps fresh traffic. This subsystem memoizes the
- * per-instruction analysis results instead: the first time an encoded
- * instruction is seen on a microarchitecture — in *any* block — its
- * decode (isa::DecodedInst), µop decomposition (uops::InstrInfo), and
- * read/write sets (isa::RwSets) are computed once and stored in an
- * append-only arena; every later block holds pointers into that arena
- * and pays a thread-local cache probe per instruction instead of a
- * decode, a database lookup, and heap allocations.
- *
- * Two levels:
- *   - a *bounded*, thread-local, direct-mapped window cache keyed on
- *     the ≤15-byte decode lookahead (x86 instructions cannot exceed 15
- *     bytes and the decoder is position-independent, so equal windows
- *     decode equally). A hit skips even the decode; collisions simply
- *     overwrite — it is a pure accelerator;
- *   - the canonical sharded map keyed on the instruction's exact
- *     encoded bytes (≤ 15 B) + µarch, one interner per µarch. A shard
- *     is a mutex, a hash map, and a std::deque arena (pointer-stable
- *     growth). This is the durable, deduplicating level: its size is
- *     bounded by the true instruction universe, not by traffic volume.
- *
- * Ownership and lifetime: arenas are append-only and process-lifetime
- * (never evicted). Returned pointers are therefore stable forever and
- * safe to share across threads; records are immutable after
- * publication.
- *
- * Macro-fused pairs: bb::analyze merges a fusible instruction with a
- * following conditional branch into a combined unit and strips the
- * branch's µops. Both derived variants depend only on the two base
- * records, so they are interned too, keyed on the (already canonical)
- * pair of base-record pointers — analyzing a fused pair the second
- * time allocates nothing either.
+ * Block analysis is stateless (src/bb/basic_block.h): there is no
+ * instruction interner any more. perfbench/src/fresh_compile.cc still
+ * reads these counters for its `analysis.intern_*` metrics, and the
+ * benchmark's sources are not changed together with the program, so
+ * the API stays and always reports zeros.
  */
 #ifndef FACILE_ANALYSIS_INTERN_H
 #define FACILE_ANALYSIS_INTERN_H
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-
-#include "isa/decoder.h"
-#include "isa/semantics.h"
-#include "uarch/config.h"
-#include "uops/info.h"
 
 namespace facile::analysis {
 
-/**
- * One dependence-graph read template: the value consumed and the edge
- * latency its producer edge carries (instruction latency, plus the
- * load-to-use latency when the value is an address register of a
- * load). Block-independent, so precedence() streams these instead of
- * re-deriving them per block.
- */
-struct DepRead
-{
-    int value;
-    double latency;
-};
-
-/**
- * Macro-fusion capability of an instruction as the *first* of a pair,
- * with the memory/immediate-form and family restrictions already
- * folded in (records are per-arch). Mirrors uops::macroFusesWith.
- */
-enum class FuseClass : std::uint8_t {
-    None,
-    All,          ///< fuses with every condition code (TEST/AND)
-    NoSOP,        ///< not with sign/overflow/parity codes (CMP/ADD/SUB)
-    NoCarryNoSOP, ///< additionally not with carry-reading codes (INC/DEC)
-};
-
-/** Everything block analysis derives from one (instruction, µarch). */
-struct InstRecord
-{
-    isa::DecodedInst dec;
-    uops::InstrInfo info;
-    isa::RwSets rw;
-    std::vector<DepRead> depReads;
-
-    /** Port masks of the port-consuming µops, in portUops order. */
-    std::vector<uarch::PortMask> portMasks;
-
-    /** PUSH/POP/CALL/RET: rsp results come from the stack engine. */
-    bool stackOp = false;
-
-    /**
-     * Inline copies of the dependence-graph inputs — every real
-     * instruction of the subset has at most a handful of read/write
-     * values, so precedence() streams these from the record itself
-     * instead of chasing the rw/depReads heap blocks (one cache line
-     * per instruction on the hot path). Count kSpilled means the data
-     * did not fit: fall back to the vector fields.
-     */
-    static constexpr int kInlineDeps = 8;
-    static constexpr std::uint8_t kSpilled = 255;
-    std::uint8_t nWritesInl = kSpilled;
-    std::uint8_t nDepInl = kSpilled;
-    bool depBreaking = false;
-    std::uint8_t writesInl[kInlineDeps];
-    DepRead depInl[kInlineDeps];
-
-    // Macro-fusion pair check, fully precomputed (see fusesWith()).
-    FuseClass fuseClass = FuseClass::None;
-    bool isJcc = false;
-    bool jccReadsCf = false;  ///< condition code reads CF
-    bool jccTestsSOP = false; ///< condition code tests S/O/P flags
-};
-
-/**
- * Precomputed equivalent of uops::macroFusesWith(first, second, cfg)
- * for two records of the same interner: a few flag tests instead of
- * operand-list walks.
- */
-inline bool
-fusesWith(const InstRecord &first, const InstRecord &second)
-{
-    if (!second.isJcc)
-        return false;
-    switch (first.fuseClass) {
-      case FuseClass::All:
-        return true;
-      case FuseClass::NoSOP:
-        return !second.jccTestsSOP;
-      case FuseClass::NoCarryNoSOP:
-        return !second.jccReadsCf && !second.jccTestsSOP;
-      case FuseClass::None:
-        break;
-    }
-    return false;
-}
-
-/** Hit/miss counters of one interner (monotonic, process lifetime). */
+/** Hit/miss counters; always zero. */
 struct InternStats
 {
-    std::uint64_t hits = 0; ///< window-cache + canonical-map hits
+    std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t fusedHits = 0;
-    std::uint64_t fusedMisses = 0;
-    /**
-     * Canonical-map misses satisfied by the bound RecordSource (an
-     * mmap'd snapshot image) instead of the decode + uops::lookup cold
-     * path. Always <= misses.
-     */
-    std::uint64_t borrowed = 0;
-
-    double
-    hitRate() const
-    {
-        const double total = static_cast<double>(hits + misses);
-        return total > 0.0 ? static_cast<double>(hits) / total : 0.0;
-    }
-};
-
-/** The fused-pair variants of (first, second) as interned records. */
-struct FusedRecords
-{
-    const InstRecord *first = nullptr;  ///< merged combined unit
-    const InstRecord *second = nullptr; ///< stripped fused branch
-};
-
-/**
- * A borrowed, read-only record store consulted by internAt between the
- * canonical-map miss and the cold analysis path — the binding that
- * makes an mmap'd snapshot v2 image (src/analysis/snapshot.h) lazily
- * materialize records on first touch instead of parsing every record
- * at load time. A successful lookup must fill @p out with a record
- * bit-identical to what the cold path would derive for the same bytes
- * (snapshot images store the full analysis results, so this holds by
- * construction); returning false simply falls through to the cold
- * path, which keeps predictions correct even when the source is
- * corrupt, poisoned, or incomplete.
- *
- * Implementations must be thread-safe and immortal (the interner
- * keeps a raw pointer for the process lifetime; rebinding replaces
- * the pointer but never frees the previous source).
- */
-class RecordSource
-{
-  public:
-    virtual ~RecordSource() = default;
-
-    /**
-     * Look up the record for the exact encoded instruction @p bytes
-     * (@p len <= 15). @return true and fill @p out on a hit.
-     */
-    virtual bool lookup(const std::uint8_t *bytes, std::size_t len,
-                        InstRecord &out) = 0;
-
-    /**
-     * Enumerate every record the source can serve, in the source's
-     * storage order. materializeBoundSource (and through it
-     * saveSnapshot) uses this so a save taken after an mmap warm
-     * start persists the image's *whole* universe, not just the
-     * records touched so far. A poisoned or non-enumerable source
-     * visits nothing — its records are simply absent, as if the
-     * process had started cold.
-     */
-    virtual void
-    visitAll(const std::function<void(const std::uint8_t *bytes,
-                                      std::size_t len, InstRecord &&rec)>
-                 & /*visit*/)
-    {}
-
-    /**
-     * Enumerate the source's macro-fused pairs as index pairs into
-     * the visitAll enumeration order.
-     */
-    virtual void
-    visitAllPairs(const std::function<void(std::uint32_t first,
-                                           std::uint32_t second)>
-                      & /*visit*/)
-    {}
 };
 
 class InstInterner
 {
   public:
-    /** The process-wide interner of @p arch (one per UArch, static). */
-    static InstInterner &forArch(uarch::UArch arch);
-
-    /**
-     * Intern the instruction starting at data[pos] (buffer of @p size
-     * bytes). On a window-cache hit no decoding happens at all; on the
-     * first sighting the instruction is decoded and analyzed
-     * (uops::lookup + isa::instRw) once, process-wide. The returned
-     * record is immortal; advance by rec->dec.length.
-     *
-     * @throws isa::DecodeError on malformed input (never cached).
-     */
-    const InstRecord *internAt(const std::uint8_t *data, std::size_t size,
-                               std::size_t pos);
-
-    /**
-     * Intern the macro-fused variants of the pair (first, second),
-     * where both operands were returned by internAt on this interner.
-     * Derivation matches bb::analyze's historical in-place merge
-     * bit-for-bit.
-     */
-    FusedRecords internFused(const InstRecord *first,
-                             const InstRecord *second);
-
-    /** Counters accumulated since process start. */
-    InternStats stats() const;
-
-    /** Aggregated counters over all nine per-arch interners. */
-    static InternStats statsAllArchs();
-
-    // ---- snapshot support (src/analysis/snapshot.h) -----------------------
-    //
-    // The warm-start snapshot serializes the canonical arenas so a new
-    // process can skip the decode + uops::lookup cold path entirely.
-    // Export walks the existing state; import appends — the arenas stay
-    // append-only, so every published `const InstRecord *` remains
-    // valid and immutable throughout.
-
-    /**
-     * Visit every canonical record with its exact encoded instruction
-     * bytes (the map key). Deterministic shard-major, insertion-order
-     * walk; shard locks are held for the duration of each shard's
-     * visits, so visitors must not re-enter this interner.
-     */
-    void exportRecords(
-        const std::function<void(const std::uint8_t *bytes,
-                                 std::size_t len, const InstRecord &rec)>
-            &visit) const;
-
-    /**
-     * Visit every interned macro-fused pair as its canonical
-     * base-record pointers (the derived variants are re-derived on
-     * import via internFused, bit-identically).
-     */
-    void exportFusedPairs(
-        const std::function<void(const InstRecord *first,
-                                 const InstRecord *second)> &visit) const;
-
-    /**
-     * Publish @p rec under the exact encoded bytes (@p bytes, @p len)
-     * without decoding or analyzing anything. If the key is already
-     * interned the existing record wins (and @p rec is dropped), so a
-     * snapshot loaded into a warm process never invalidates published
-     * pointers. Returns the canonical record; @p inserted (optional)
-     * reports whether @p rec was appended.
-     */
-    const InstRecord *importRecord(const std::uint8_t *bytes,
-                                   std::size_t len, InstRecord &&rec,
-                                   bool *inserted = nullptr);
-
-    /**
-     * Bind @p source as this interner's borrowed record store (see
-     * RecordSource). internAt consults it on every canonical-map miss
-     * before falling back to decode + analysis, so records of an
-     * mmap'd snapshot materialize on first touch — O(1) work at bind
-     * time regardless of universe size. @p source must outlive the
-     * process (snapshot images are immortal once bound); passing
-     * nullptr unbinds. Rebinding replaces the previous source for
-     * *future* misses; already-materialized records are unaffected
-     * (arenas stay append-only).
-     */
-    void bindRecordSource(RecordSource *source);
-
-    /**
-     * Import every record (and fused pair) the bound source can
-     * enumerate into the canonical arenas, deduplicating through the
-     * usual importRecord path (live records win). No-op without a
-     * bound source. saveSnapshot calls this before exporting so a
-     * process warm-started from an mmap'd image saves the full
-     * universe — the lazy views are invisible to exportRecords, and
-     * without this step a save-after-mmap-start would silently shrink
-     * the snapshot to the records touched so far. O(records) time and
-     * memory, which a save already pays to write the file.
-     */
-    void materializeBoundSource();
-
-    InstInterner(const InstInterner &) = delete;
-    InstInterner &operator=(const InstInterner &) = delete;
-
-  private:
-    explicit InstInterner(uarch::UArch arch);
-    ~InstInterner();
-
-    /** Decode-to-record analysis (the cold path); consumes @p dec. */
-    void analyzeCold(isa::DecodedInst &dec, InstRecord &fresh);
-
-    struct Impl;
-    Impl *impl_; ///< raw: interners are immortal statics
+    /** Zeros: nothing is interned. */
+    static InternStats statsAllArchs() { return {}; }
 };
 
 } // namespace facile::analysis

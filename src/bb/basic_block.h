@@ -9,62 +9,45 @@
  * following conditional branch into a single unit for everything
  * downstream of the instruction queue.
  *
- * Annotations are *interned*: an AnnotatedInst points at an immutable
- * InstRecord in the process-wide per-arch instruction cache
- * (src/analysis/intern.h), so analyzing a never-seen block reuses the
- * µop decomposition and read/write sets of every instruction seen
- * before in any block, and allocates nothing per instruction.
+ * Analysis is stateless: every instruction is decoded and looked up
+ * afresh into annotations the block owns, and nothing outlives the
+ * block. A never-seen block costs about 41 allocations (decode,
+ * µop info, the annotation vectors; tests/test_retention.cc prints the
+ * count) and leaves no memory behind once it is destroyed.
  */
 #ifndef FACILE_BB_BASIC_BLOCK_H
 #define FACILE_BB_BASIC_BLOCK_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "isa/decoder.h"
 #include "uarch/config.h"
 #include "uops/info.h"
 
 namespace facile::bb {
 
+/** What analysis derives for one instruction on one µarch. */
+struct InstAnnotation
+{
+    isa::DecodedInst dec;
+    uops::InstrInfo info;
+};
+
 /** One instruction with layout and microarchitectural annotations. */
 struct AnnotatedInst
 {
-    /**
-     * Decoded form plus byte-layout facts. Same interned lifetime and
-     * ownership as info/rw below (decode results are memoized per
-     * instruction encoding, not recomputed per block).
-     */
+    /** Decoded form plus byte-layout facts. */
     const isa::DecodedInst *dec = nullptr;
 
     /**
      * Characteristics of the instruction on the block's µarch. Points
-     * into the process-wide intern arena (or, for blocks analyzed with
-     * InternMode::Off or locally mutated annotations, into the block's
-     * ownedRecords). Never null on an analyzed block; immutable through
-     * this pointer — use BasicBlock::mutableInfo to change a copy.
+     * into the block's annotations. Never null on an analyzed block;
+     * immutable through this pointer — use BasicBlock::mutableInfo to
+     * change a copy.
      */
     const uops::InstrInfo *info = nullptr;
-
-    /**
-     * Precomputed read/write sets of the instruction (same lifetime and
-     * ownership as info). Unaffected by macro-fusion: each instruction
-     * of a fused pair keeps its own architectural semantics. Null on
-     * InternMode::Off blocks — consumers (precedence, sim) fall back to
-     * computing the sets per call, exactly like the pre-interning code.
-     */
-    const isa::RwSets *rw = nullptr;
-
-    /**
-     * The interned base record behind info/rw — the instruction's
-     * canonical identity in the per-arch arena, used to key derived
-     * (macro-fused) variants. Null on InternMode::Off blocks and after
-     * mutableInfo.
-     */
-    const analysis::InstRecord *rec = nullptr;
 
     /** Byte offset of the instruction within the block. */
     int start = 0;
@@ -83,12 +66,6 @@ struct AnnotatedInst
     bool fusedWithPrev = false;
 };
 
-/** Whether analysis may use the process-wide instruction intern cache. */
-enum class InternMode {
-    Shared, ///< default: annotations point into the per-arch arena
-    Off,    ///< fresh lookups, block-owned records (testing / baselines)
-};
-
 /** A basic block analyzed for one microarchitecture. */
 struct BasicBlock
 {
@@ -97,13 +74,12 @@ struct BasicBlock
     uarch::UArch arch;
 
     /**
-     * Block-owned annotation records: filled by InternMode::Off
-     * analysis and by mutableInfo. A std::deque for pointer stability;
-     * shared_ptr so copied blocks keep their annotation pointers valid
-     * (copies share the storage — copying is cheap and safe, but
-     * concurrent mutableInfo calls on copies sharing storage are not).
+     * The annotations insts[i].dec / .info point into, one per
+     * instruction in order. shared_ptr so copied blocks keep their
+     * pointers valid: copies share the storage until one of them calls
+     * mutableInfo.
      */
-    std::shared_ptr<std::deque<analysis::InstRecord>> ownedRecords;
+    std::shared_ptr<std::vector<InstAnnotation>> annotations;
 
     /**
      * Block-level µop totals, precomputed by analyze() so the DSB /
@@ -144,10 +120,11 @@ struct BasicBlock
 
     /**
      * Copy-on-write escape hatch for consumers that must perturb an
-     * annotation (e.g. the CQA-like baseline's latency clamp): copies
-     * instruction @p i's record into ownedRecords, repoints insts[i] at
-     * the copy, and returns it mutable. The shared intern arena is
-     * never written through.
+     * annotation (e.g. the CQA-like baseline's latency clamp): unless
+     * this block is the only owner of its annotations, copies them
+     * first and repoints insts at the copy, then returns instruction
+     * @p i's info mutable. Blocks sharing the original storage never
+     * see the change.
      */
     uops::InstrInfo &mutableInfo(std::size_t i);
 };
@@ -159,12 +136,10 @@ struct BasicBlock
  *
  * @throws isa::DecodeError on malformed input.
  */
-BasicBlock analyze(std::vector<std::uint8_t> bytes, uarch::UArch arch,
-                   InternMode mode = InternMode::Shared);
+BasicBlock analyze(std::vector<std::uint8_t> bytes, uarch::UArch arch);
 
 /** Convenience: encode @p insts and analyze the result. */
-BasicBlock analyze(const std::vector<isa::Inst> &insts, uarch::UArch arch,
-                   InternMode mode = InternMode::Shared);
+BasicBlock analyze(const std::vector<isa::Inst> &insts, uarch::UArch arch);
 
 } // namespace facile::bb
 

@@ -65,8 +65,8 @@ convergeWithImage(const std::uint8_t *data, std::size_t size,
         const std::vector<std::uint8_t> merged =
             analysis::buildSnapshotImage(set.canonical());
         // Append-only fold: keys we already hold keep their live
-        // records, the peer's novelty is interned, its cached
-        // predictions land in the engine's cache.
+        // entries, the peer's other cached predictions land in the
+        // engine's cache.
         analysis::loadSnapshotFromMemory(merged.data(), merged.size(),
                                          {engine});
         return true;

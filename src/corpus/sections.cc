@@ -1,7 +1,6 @@
 #include "corpus/sections.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -336,46 +335,6 @@ AtomicFileWriter::flush()
 }
 
 void
-AtomicFileWriter::padTo(std::uint64_t align)
-{
-    static const std::uint8_t zeros[512] = {};
-    std::uint64_t need = alignUp(offset_, align) - offset_;
-    while (need > 0) {
-        const std::size_t n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                need, sizeof zeros));
-        write(zeros, n);
-        need -= n;
-    }
-}
-
-void
-AtomicFileWriter::writeAt(std::uint64_t off, const void *data,
-                          std::size_t len)
-{
-    if (off + len > offset_) {
-        abort();
-        throw SectionError("patch past end of " + tmp_);
-    }
-    flush(); // the patched range must already be in the file
-    const auto fa = testing::faultPoint((site_ + ".write").c_str(), len);
-    bool ok;
-    if (fa.err) {
-        errno = fa.err;
-        ok = false;
-    } else {
-        const std::size_t n = std::min(len, fa.clamp);
-        ok = std::fseek(f_, static_cast<long>(off), SEEK_SET) == 0 &&
-             std::fwrite(data, 1, n, f_) == n && n == len &&
-             std::fseek(f_, static_cast<long>(offset_), SEEK_SET) == 0;
-    }
-    if (!ok) {
-        abort();
-        throw SectionError("short patch write on " + tmp_);
-    }
-}
-
-void
 AtomicFileWriter::commit()
 {
     flush();
@@ -441,84 +400,6 @@ AtomicFileWriter::commit()
     }
     fsyncParentDir(path_);
     committed_ = true;
-}
-
-// ---- MappedFile ------------------------------------------------------------
-
-MappedFile::~MappedFile()
-{
-    close();
-}
-
-MappedFile::MappedFile(MappedFile &&o) noexcept
-    : base_(o.base_), size_(o.size_)
-{
-    o.base_ = nullptr;
-    o.size_ = 0;
-}
-
-MappedFile &
-MappedFile::operator=(MappedFile &&o) noexcept
-{
-    if (this != &o) {
-        close();
-        base_ = o.base_;
-        size_ = o.size_;
-        o.base_ = nullptr;
-        o.size_ = 0;
-    }
-    return *this;
-}
-
-void
-MappedFile::close() noexcept
-{
-    if (base_) {
-        ::munmap(base_, size_);
-        base_ = nullptr;
-        size_ = 0;
-    }
-}
-
-bool
-MappedFile::open(const std::string &path, const char *faultSite)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    struct ::stat sb;
-    if (::fstat(fd, &sb) != 0 || sb.st_size <= 0) {
-        ::close(fd);
-        return false;
-    }
-    void *p;
-    const auto fa = testing::faultPoint(faultSite, 0);
-    if (fa.err) {
-        errno = fa.err;
-        p = MAP_FAILED;
-    } else {
-        p = ::mmap(nullptr, static_cast<std::size_t>(sb.st_size),
-                   PROT_READ, MAP_PRIVATE, fd, 0);
-    }
-    ::close(fd); // the mapping keeps its own reference
-    if (p == MAP_FAILED)
-        throw SectionError("cannot mmap " + path);
-    base_ = static_cast<std::uint8_t *>(p);
-    size_ = static_cast<std::size_t>(sb.st_size);
-    return true;
-}
-
-void
-MappedFile::willNeed(std::uint64_t off, std::uint64_t len) const
-{
-    if (!base_ || off >= size_)
-        return;
-    const std::uint64_t page = kSectionAlign;
-    const std::uint64_t start = off & ~(page - 1);
-    const std::uint64_t end =
-        std::min<std::uint64_t>(size_, alignUp(off + len, page));
-    ::madvise(base_ + start, static_cast<std::size_t>(end - start),
-              MADV_WILLNEED);
 }
 
 } // namespace facile::corpus

@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared building blocks for sectioned container files (the mmap-able
- * snapshot v2 image today; sectioned corpora next): a 64-bit xxHash,
- * a fixed 64-byte section-table entry with page-aligned payload
- * offsets and a per-section hash, and a streaming atomic file writer
- * that keeps the crash-safety contract of snapshot saves (temp file →
- * incremental writes → fsync → generation rotation → rename → parent
- * dir fsync) without ever materializing the whole image in memory.
+ * Shared building blocks for sectioned container files (the snapshot
+ * image today; sectioned corpora next): a 64-bit xxHash, a fixed
+ * 64-byte section-table entry with a payload offset and a per-section
+ * hash, and a streaming atomic file writer that keeps the crash-safety
+ * contract of snapshot saves (temp file → incremental writes → fsync →
+ * generation rotation → rename → parent dir fsync).
  *
  * Everything here is format-agnostic: the container owner supplies the
  * magic/header layout and the meaning of SectionEntry::type/tag; this
@@ -38,22 +37,12 @@ class SectionError : public std::runtime_error
     {}
 };
 
-/**
- * Section payloads start on this boundary so a file mapped at a
- * page-aligned base address yields page-aligned (hence safely
- * memcpy/overlay-able) section views on every mainstream kernel.
- */
+/** Page size sectioned containers stamp in their headers. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
 /** Value all sectioned containers stamp as their endianness witness. */
 inline constexpr std::uint32_t kLittleEndianTag = 0x0A0B0C0D;
 
-/** @return @p v rounded up to the next multiple of @p align (pow 2). */
-constexpr std::uint64_t
-alignUp(std::uint64_t v, std::uint64_t align)
-{
-    return (v + align - 1) & ~(align - 1);
-}
 
 /**
  * xxHash64 (Yann Collet's XXH64, the standard single-shot variant) —
@@ -93,9 +82,8 @@ class Xxh64State
  *
  *   offset 0   u32  type       container-defined section type
  *   offset 4   u32  tag        container-defined (e.g. uarch value)
- *   offset 8   u64  offset     payload start from file byte 0;
- *                              kSectionAlign-aligned for mappable types
- *   offset 16  u64  length     payload bytes (excludes padding)
+ *   offset 8   u64  offset     payload start from file byte 0
+ *   offset 16  u64  length     payload bytes
  *   offset 24  u64  hash       xxh64 over the payload bytes
  *   offset 32  u64  itemCount  container-defined logical item count
  *   offset 40  u64  reserved[3]  zero; readers ignore
@@ -120,8 +108,7 @@ encodeSectionTable(const std::vector<SectionEntry> &entries);
 /**
  * Decode a section table of @p count entries from @p data (@p size
  * bytes) and validate every entry against the containing file size:
- * payload in bounds, no overflow, mappable offsets aligned when
- * @p requireAligned. @throws SectionError.
+ * payload in bounds, no overflow. @throws SectionError.
  */
 std::vector<SectionEntry>
 decodeSectionTable(const std::uint8_t *data, std::size_t size,
@@ -140,10 +127,8 @@ decodeSectionTable(const std::uint8_t *data, std::size_t size,
  * testing::faultPoint, so the torn-write / failed-rename matrices
  * exercise every writer through the same sites. Appends are staged
  * through a fixed buffer and the write hook fires once per flushed
- * chunk, not once per append — a streamed save hits the fault site
- * O(bytes / kWriteBuf) times like the old whole-image write did, so
- * seeded chaos (1-in-N per hit) doesn't make large saves
- * statistically impossible.
+ * chunk, not once per append, so seeded chaos (1-in-N per hit) doesn't
+ * make large saves statistically impossible.
  */
 class AtomicFileWriter
 {
@@ -157,17 +142,6 @@ class AtomicFileWriter
 
     /** Append @p len bytes at the current offset. @throws SectionError. */
     void write(const void *data, std::size_t len);
-
-    /** Zero-fill forward until offset() is @p align-aligned. */
-    void padTo(std::uint64_t align);
-
-    /**
-     * Overwrite @p len bytes at absolute offset @p off (must already
-     * have been written) — used to patch headers and tables whose
-     * contents are only known once the payload has streamed out.
-     * Restores the append position.
-     */
-    void writeAt(std::uint64_t off, const void *data, std::size_t len);
 
     /** Bytes appended so far (== the final file size at commit). */
     std::uint64_t offset() const { return offset_; }
@@ -200,47 +174,6 @@ std::string generationPath(const std::string &path, int gen);
  * rename itself may not survive power loss). Failure is ignored.
  */
 void fsyncParentDir(const std::string &path);
-
-/**
- * A read-only mmap(2) view of a whole file. open() returns false when
- * the file cannot be opened; it throws SectionError when the file
- * exists but cannot be mapped (callers fall back to a read() path).
- * The mapping is MAP_PRIVATE: on-disk mutation after open never
- * changes the view's validity, only its contents (which per-section
- * hashes catch).
- */
-class MappedFile
-{
-  public:
-    MappedFile() = default;
-    ~MappedFile();
-
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-    MappedFile(MappedFile &&o) noexcept;
-    MappedFile &operator=(MappedFile &&o) noexcept;
-
-    /**
-     * Map @p path read-only. @p faultSite names the injection hook
-     * consulted before the mmap syscall. @return false when the file
-     * cannot be opened or stat'd; @throws SectionError when mmap
-     * itself fails (fallback-worthy, not fatal).
-     */
-    bool open(const std::string &path, const char *faultSite);
-
-    /** Hint the kernel to prefetch [off, off+len) of the mapping. */
-    void willNeed(std::uint64_t off, std::uint64_t len) const;
-
-    const std::uint8_t *data() const { return base_; }
-    std::size_t size() const { return size_; }
-    bool valid() const { return base_ != nullptr; }
-
-  private:
-    void close() noexcept;
-
-    std::uint8_t *base_ = nullptr;
-    std::size_t size_ = 0;
-};
 
 } // namespace facile::corpus
 

@@ -13,20 +13,7 @@ namespace facile::engine {
 
 namespace {
 
-/** Analysis-cache key: arch byte + raw block bytes. */
-std::string
-analysisKey(const std::vector<std::uint8_t> &bytes, uarch::UArch arch)
-{
-    std::string key;
-    key.reserve(bytes.size() + 1);
-    key.push_back(static_cast<char>(arch));
-    if (!bytes.empty())
-        key.append(reinterpret_cast<const char *>(bytes.data()),
-                   bytes.size());
-    return key;
-}
-
-/** Prediction-cache key: notion + payload depth + config + analysis key. */
+/** Prediction-cache key: notion + payload depth + config + arch + bytes. */
 std::string
 predictionKey(const Request &r)
 {
@@ -56,7 +43,7 @@ shardOf(const std::string &key)
 } // namespace
 
 /**
- * One cache shard with two-generation (old/new) eviction.
+ * One prediction-cache shard with two-generation (old/new) eviction.
  *
  * Inserts and promotions go to the new generation; when it reaches the
  * per-generation bound the old generation is dropped and the new one
@@ -67,13 +54,13 @@ shardOf(const std::string &key)
  * entire hot set the moment a shard filled up. Entries untouched for a
  * full generation age out; a shard never holds more than 2x the bound.
  */
-template <typename V> struct Gen2Shard
+struct PredictionShard
 {
     std::mutex mu;
-    std::unordered_map<std::string, V> newGen, oldGen;
+    std::unordered_map<std::string, model::Prediction> newGen, oldGen;
 
     /** Lookup with promotion; caller must hold mu. */
-    V *
+    model::Prediction *
     find(const std::string &key, std::size_t maxPerGen)
     {
         auto it = newGen.find(key);
@@ -82,7 +69,7 @@ template <typename V> struct Gen2Shard
         auto itOld = oldGen.find(key);
         if (itOld == oldGen.end())
             return nullptr;
-        V value = std::move(itOld->second);
+        model::Prediction value = std::move(itOld->second);
         oldGen.erase(itOld);
         return &insert(key, std::move(value), maxPerGen);
     }
@@ -92,8 +79,8 @@ template <typename V> struct Gen2Shard
      * hold mu and have checked find() under the same lock, so the key
      * is in neither generation.
      */
-    V &
-    insert(std::string key, V value, std::size_t maxPerGen)
+    model::Prediction &
+    insert(std::string key, model::Prediction value, std::size_t maxPerGen)
     {
         if (newGen.size() >= maxPerGen) {
             std::swap(oldGen, newGen);
@@ -116,9 +103,6 @@ struct PredictionEngine::Impl
     Options opts;
     ThreadPool pool;
 
-    using AnalysisShard = Gen2Shard<std::shared_ptr<const bb::BasicBlock>>;
-    using PredictionShard = Gen2Shard<model::Prediction>;
-    AnalysisShard analysisShards[kShards];
     PredictionShard predictionShards[kShards];
 
     explicit Impl(Options o)
@@ -128,39 +112,6 @@ struct PredictionEngine::Impl
                    : static_cast<int>(
                          std::max(1u, std::thread::hardware_concurrency())))
     {}
-
-    std::shared_ptr<const bb::BasicBlock>
-    analyzeCached(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
-                  BatchStats *stats)
-    {
-        if (!opts.cacheEnabled) {
-            auto blk = std::make_shared<const bb::BasicBlock>(
-                bb::analyze(bytes, arch));
-            if (stats)
-                ++stats->analyzed;
-            return blk;
-        }
-        std::string key = analysisKey(bytes, arch);
-        AnalysisShard &shard = analysisShards[shardOf(key)];
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (auto *hit = shard.find(key, opts.maxEntriesPerShard)) {
-                if (stats)
-                    ++stats->analysisCacheHits;
-                return *hit;
-            }
-        }
-        // Analyze outside the lock; concurrent misses on the same key
-        // duplicate work once but produce identical blocks.
-        auto blk =
-            std::make_shared<const bb::BasicBlock>(bb::analyze(bytes, arch));
-        if (stats)
-            ++stats->analyzed;
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (auto *hit = shard.find(key, opts.maxEntriesPerShard))
-            return *hit; // lost the race; share the other thread's block
-        return shard.insert(std::move(key), blk, opts.maxEntriesPerShard);
-    }
 
     /**
      * Core lookup-or-compute on the calling thread's scratch (each lane
@@ -186,10 +137,14 @@ struct PredictionEngine::Impl
             }
         }
 
+        // A miss is analyzed on this lane; the block dies with the
+        // request.
         model::Prediction p;
         try {
-            auto blk = analyzeCached(req.bytes, req.arch, stats);
-            p = model::predict(*blk, req.loop, req.config,
+            const bb::BasicBlock blk = bb::analyze(req.bytes, req.arch);
+            if (stats)
+                ++stats->analyzed;
+            p = model::predict(blk, req.loop, req.config,
                                model::tlsPredictScratch(), req.payload);
         } catch (const std::exception &) {
             p = model::Prediction{}; // malformed block: throughput 0
@@ -252,8 +207,7 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
     if (batch.empty())
         return;
 
-    std::atomic<std::size_t> analysisHits{0}, predictionHits{0},
-        analyzed{0};
+    std::atomic<std::size_t> predictionHits{0}, analyzed{0};
 
     impl_->pool.parallelForWorker(
         batch.size(), [&](int lane, std::size_t i) {
@@ -261,7 +215,6 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
             impl_->predictCachedVisit(batch[i], stats ? &local : nullptr,
                                       lane, i, visit);
             if (stats) {
-                analysisHits += local.analysisCacheHits;
                 predictionHits += local.predictionCacheHits;
                 analyzed += local.analyzed;
             }
@@ -269,7 +222,6 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
 
     if (stats) {
         stats->requests += batch.size();
-        stats->analysisCacheHits += analysisHits;
         stats->predictionCacheHits += predictionHits;
         stats->analyzed += analyzed;
     }
@@ -281,13 +233,6 @@ PredictionEngine::predictOne(const Request &req, BatchStats *stats)
     if (stats)
         ++stats->requests;
     return impl_->predictCached(req, stats);
-}
-
-std::shared_ptr<const bb::BasicBlock>
-PredictionEngine::analyze(const std::vector<std::uint8_t> &bytes,
-                          uarch::UArch arch, BatchStats *stats)
-{
-    return impl_->analyzeCached(bytes, arch, stats);
 }
 
 void
@@ -308,11 +253,6 @@ void
 PredictionEngine::clearCaches()
 {
     for (std::size_t s = 0; s < kShards; ++s) {
-        {
-            std::lock_guard<std::mutex> lock(
-                impl_->analysisShards[s].mu);
-            impl_->analysisShards[s].clear();
-        }
         std::lock_guard<std::mutex> lock(impl_->predictionShards[s].mu);
         impl_->predictionShards[s].clear();
     }
@@ -325,7 +265,7 @@ PredictionEngine::exportPredictionCache(
 {
     std::size_t n = 0;
     for (std::size_t s = 0; s < kShards; ++s) {
-        Impl::PredictionShard &shard = impl_->predictionShards[s];
+        PredictionShard &shard = impl_->predictionShards[s];
         std::lock_guard<std::mutex> lock(shard.mu);
         for (const auto &[key, pred] : shard.newGen) {
             visit(key, pred);
@@ -343,7 +283,7 @@ void
 PredictionEngine::importPredictionCacheEntry(std::string key,
                                              model::Prediction pred)
 {
-    Impl::PredictionShard &shard = impl_->predictionShards[shardOf(key)];
+    PredictionShard &shard = impl_->predictionShards[shardOf(key)];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!shard.find(key, impl_->opts.maxEntriesPerShard))
         shard.insert(std::move(key), std::move(pred),

@@ -12,14 +12,16 @@
  *     the batch with one fetch_add each, so uneven block cost
  *     load-balances, and a batch of one chunk never leaves the caller
  *     (thread_pool.h);
- *   - a sharded per-arch analysis cache keyed on the raw block bytes
- *     lets repeated blocks skip decoding and uop lookup entirely;
- *   - a second-level prediction cache keyed additionally on the
- *     throughput notion, the ablation config, and the payload depth
- *     short-circuits fully repeated requests;
+ *   - one sharded prediction cache keyed on the throughput notion, the
+ *     payload depth, the ablation config, the arch and the block bytes
+ *     short-circuits repeated requests; a miss is analyzed and
+ *     predicted on the lane that serves it, and only its cache entry
+ *     outlives the request;
  *   - each lane uses its thread's model::tlsPredictScratch() (see
- *     facile/component.h), which makes the whole component pipeline
- *     allocation-free in steady state;
+ *     facile/component.h), so the component pipeline reuses its
+ *     buffers. A hit still allocates its cache key (about 0.8
+ *     allocations per request); a never-seen block costs about 43
+ *     allocations (tests/test_retention.cc prints the count);
  *   - requests default to Payload::None: the serving path computes
  *     bounds and bottleneck classification but skips the
  *     interpretability payload unless a request asks for it.
@@ -68,7 +70,11 @@ struct Request
 struct BatchStats
 {
     std::size_t requests = 0;
-    std::size_t analysisCacheHits = 0;   ///< decode+annotate skipped
+    /**
+     * Always 0: there is no analysis cache. Kept because the STATS
+     * wire layout and the repository benchmark read it.
+     */
+    std::size_t analysisCacheHits = 0;
     std::size_t predictionCacheHits = 0; ///< whole prediction skipped
     std::size_t analyzed = 0;            ///< blocks decoded this batch
 };
@@ -81,11 +87,11 @@ struct EngineOptions
      */
     int numThreads = 0;
 
-    /** Master switch for both cache levels. */
+    /** Switch for the prediction cache. */
     bool cacheEnabled = true;
 
     /**
-     * Bound on entries per cache-shard generation. Shards use
+     * Bound on entries per prediction-cache shard generation. Shards use
      * two-generation (old/new) eviction: inserts and old-generation
      * hits go to the new generation; when it fills, the old generation
      * is dropped and the new one ages into its place. The hot working
@@ -145,17 +151,9 @@ class PredictionEngine
                            const PredictionVisitor &visit,
                            BatchStats *stats = nullptr);
 
-    /** Single-request convenience; same caches, calling thread only. */
+    /** Single-request convenience; same cache, calling thread only. */
     model::Prediction predictOne(const Request &req,
                                  BatchStats *stats = nullptr);
-
-    /**
-     * Analyze a block through the per-arch analysis cache (shared with
-     * predictBatch). The returned block is immutable and shared.
-     */
-    std::shared_ptr<const bb::BasicBlock>
-    analyze(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
-            BatchStats *stats = nullptr);
 
     /**
      * Run body(i) for all i in [0, n) across the lanes; blocks until

@@ -159,13 +159,9 @@ class PortsComponent final : public ComponentPredictor
         for (const auto &ai : ctx.blk.insts) {
             if (ai.fusedWithPrev || ai.info->eliminated)
                 continue;
-            if (ai.rec) {
-                uops += static_cast<int>(ai.rec->portMasks.size());
-            } else {
-                for (const auto &u : ai.info->portUops)
-                    if (u.ports)
-                        ++uops;
-            }
+            for (const auto &u : ai.info->portUops)
+                if (u.ports)
+                    ++uops;
         }
         return static_cast<double>(uops);
     }

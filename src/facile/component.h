@@ -59,7 +59,7 @@ struct PredictScratch
 /**
  * Everything one prediction evaluation needs, threaded explicitly from
  * the analyzed block (bb layer) through the component pipeline:
- * interned block annotations, the microarchitecture configuration, the
+ * the block's annotations, the microarchitecture configuration, the
  * throughput notion, the requested payload depth, and the per-thread
  * scratch. Cheap to construct per call (three pointers and two flags);
  * components receive it by const reference.

@@ -11,39 +11,6 @@ namespace {
 
 using uarch::PortMask;
 
-/**
- * The pairwise port bound is a pure function of the mask histogram —
- * and workloads reuse a small set of histograms across millions of
- * distinct blocks. A small thread-local memo keyed on the histogram
- * skips the combination search on repeats (the per-block
- * contendingInsts extraction still runs). Direct-mapped, overwrite on
- * collision; histograms with more than kMemoMasks distinct masks (or
- * huge counts) bypass the memo.
- */
-constexpr std::size_t kMemoMasks = 8;
-constexpr std::size_t kMemoSlots = 512; // power of two
-
-struct PortsMemoEntry
-{
-    PortMask masks[kMemoMasks];
-    std::uint16_t counts[kMemoMasks];
-    std::uint8_t n = 0; ///< 0 = empty slot
-    double throughput;
-    PortMask bottleneckPorts;
-};
-
-struct PortsMemo
-{
-    PortsMemoEntry slot[kMemoSlots] = {};
-};
-
-PortsMemo &
-tlsMemo()
-{
-    thread_local PortsMemo memo;
-    return memo;
-}
-
 PortsScratch &
 tlsScratch()
 {
@@ -61,15 +28,9 @@ collectUopMasks(const bb::BasicBlock &blk,
         const auto &ai = blk.insts[i];
         if (ai.fusedWithPrev || ai.info->eliminated)
             continue;
-        if (ai.rec) {
-            // Interned: the non-zero masks are pre-filtered.
-            for (PortMask m : ai.rec->portMasks)
-                uops.emplace_back(m, static_cast<int>(i));
-        } else {
-            for (const auto &u : ai.info->portUops)
-                if (u.ports)
-                    uops.emplace_back(u.ports, static_cast<int>(i));
-        }
+        for (const auto &u : ai.info->portUops)
+            if (u.ports)
+                uops.emplace_back(u.ports, static_cast<int>(i));
     }
 }
 
@@ -158,50 +119,6 @@ ports(const bb::BasicBlock &blk, PortsScratch &s, bool collectContending)
     collectUopMasks(blk, s.uops);
     buildMaskHistogram(s.uops, s.pcs, s.pcsCount);
 
-    // Memo probe: the bound depends only on the histogram. Cross-
-    // request memoization is an interning-family optimization, so
-    // InternMode::Off blocks (the pre-interning baseline in
-    // bench_coldpath) skip it and pay the full search like the
-    // historical code did.
-    const bool interned =
-        !blk.insts.empty() && blk.insts.front().rec != nullptr;
-    const std::size_t nDistinct = s.pcs.size();
-    PortsMemoEntry *slot = nullptr;
-    if (interned && nDistinct > 0 && nDistinct <= kMemoMasks) {
-        bool fits = true;
-        std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-        for (std::size_t i = 0; i < nDistinct; ++i) {
-            if (s.pcsCount[i] > 0xffff) {
-                fits = false;
-                break;
-            }
-            h = (h ^ s.pcs[i]) * 0x100000001b3ULL;
-            h = (h ^ static_cast<std::uint64_t>(s.pcsCount[i])) *
-                0x100000001b3ULL;
-        }
-        if (fits) {
-            h ^= h >> 29;
-            slot = &tlsMemo().slot[h & (kMemoSlots - 1)];
-            if (slot->n == nDistinct) {
-                bool match = true;
-                for (std::size_t i = 0; i < nDistinct; ++i)
-                    if (slot->masks[i] != s.pcs[i] ||
-                        slot->counts[i] != s.pcsCount[i]) {
-                        match = false;
-                        break;
-                    }
-                if (match) {
-                    PortsResult best;
-                    best.throughput = slot->throughput;
-                    best.bottleneckPorts = slot->bottleneckPorts;
-                    if (collectContending)
-                        extractContending(s.uops, best);
-                    return best;
-                }
-            }
-        }
-    }
-
     // PC' = { pc | pc' : pc, pc' in PC } (includes singletons: pc | pc).
     s.pairs.clear();
     for (std::size_t a = 0; a < s.pcs.size(); ++a)
@@ -211,18 +128,8 @@ ports(const bb::BasicBlock &blk, PortsScratch &s, bool collectContending)
     s.pairs.erase(std::unique(s.pairs.begin(), s.pairs.end()),
                   s.pairs.end());
 
-    PortsResult best = boundForCombinations(s.uops, s.pcs, s.pcsCount,
-                                            s.pairs, collectContending);
-    if (slot) {
-        slot->n = static_cast<std::uint8_t>(nDistinct);
-        for (std::size_t i = 0; i < nDistinct; ++i) {
-            slot->masks[i] = s.pcs[i];
-            slot->counts[i] = static_cast<std::uint16_t>(s.pcsCount[i]);
-        }
-        slot->throughput = best.throughput;
-        slot->bottleneckPorts = best.bottleneckPorts;
-    }
-    return best;
+    return boundForCombinations(s.uops, s.pcs, s.pcsCount, s.pairs,
+                                collectContending);
 }
 
 PortsResult

@@ -583,7 +583,6 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
     s.nodeValue.clear();
     s.edges.clear();
     s.edges.reserve(blk.insts.size() * 4);
-    s.rwPtr.clear();
     if (s.rw.size() < blk.insts.size())
         s.rw.resize(blk.insts.size());
 
@@ -591,27 +590,8 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
     lastWriterEnd.fill(-1);
 
     for (std::size_t i = 0; i < blk.insts.size(); ++i) {
-        const analysis::InstRecord *rec = blk.insts[i].rec;
-        if (rec && rec->nWritesInl != analysis::InstRecord::kSpilled) {
-            // Interned fast path: write values inline in the record.
-            s.rwPtr.push_back(&rec->rw);
-            for (std::uint8_t k = 0; k < rec->nWritesInl; ++k) {
-                const int v = rec->writesInl[k];
-                lastWriterEnd[v] = static_cast<int>(s.nodeInst.size());
-                s.nodeInst.push_back(static_cast<int>(i));
-                s.nodeValue.push_back(v);
-            }
-            continue;
-        }
-        // Interned blocks carry precomputed read/write sets; compute
-        // them only for hand-built blocks.
-        const isa::RwSets *rw = blk.insts[i].rw;
-        if (!rw) {
-            isa::instRw(blk.insts[i].dec->inst, s.rw[i]);
-            rw = &s.rw[i];
-        }
-        s.rwPtr.push_back(rw);
-        for (int v : rw->writes) {
+        isa::instRw(blk.insts[i].dec->inst, s.rw[i]);
+        for (int v : s.rw[i].writes) {
             lastWriterEnd[v] = static_cast<int>(s.nodeInst.size());
             s.nodeInst.push_back(static_cast<int>(i));
             s.nodeValue.push_back(v);
@@ -624,94 +604,11 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
     int nodeCursor = 0;
     for (std::size_t i = 0; i < blk.insts.size(); ++i) {
         const auto &ai = blk.insts[i];
-        const analysis::InstRecord *irec = ai.rec;
-
-        if (irec && irec->nWritesInl != analysis::InstRecord::kSpilled &&
-            irec->nDepInl != analysis::InstRecord::kSpilled) {
-            // Interned fast path: everything the edge builder needs is
-            // inline in the record (values identical to the vector
-            // path by construction).
-            const int firstWriteNode = nodeCursor;
-            const int nWrites = irec->nWritesInl;
-            if (!irec->depBreaking && nWrites > 0) {
-                int selfCarried = 0;
-                for (std::uint8_t k = 0; k < irec->nDepInl; ++k) {
-                    const analysis::DepRead &dr = irec->depInl[k];
-                    int producer = lastWriter[dr.value];
-                    int iterCount = 0;
-                    if (producer < 0) {
-                        producer = lastWriterEnd[dr.value];
-                        iterCount = 1;
-                    }
-                    if (producer < 0)
-                        continue; // loop-invariant input
-                    if (iterCount) {
-                        if (s.nodeInst[producer] != static_cast<int>(i))
-                            g.selfCarriedOnly = false;
-                        else if (irec->stackOp && ++selfCarried > 1)
-                            g.selfCarriedOnly = false;
-                    }
-                    for (int w = 0; w < nWrites; ++w) {
-                        double edgeLat = dr.latency;
-                        if (irec->stackOp &&
-                            s.nodeValue[firstWriteNode + w] == 4)
-                            edgeLat = 0.0;
-                        if (iterCount && producer == firstWriteNode + w &&
-                            edgeLat > g.maxSelfRatio)
-                            g.maxSelfRatio = edgeLat;
-                        s.edges.push(producer, firstWriteNode + w,
-                                     edgeLat, iterCount);
-                    }
-                }
-            }
-            for (int w = 0; w < nWrites; ++w)
-                lastWriter[s.nodeValue[firstWriteNode + w]] =
-                    firstWriteNode + w;
-            nodeCursor += nWrites;
-            continue;
-        }
-
-        const auto &sets = *s.rwPtr[i];
+        const isa::RwSets &sets = s.rw[i];
         const int firstWriteNode = nodeCursor;
         const int nWrites = static_cast<int>(sets.writes.size());
 
-        if (!sets.depBreaking && nWrites > 0 && ai.rec) {
-            // Interned fast path: the per-read producer-edge latencies
-            // (including the address-register load latency) and the
-            // stack-op flag were derived once at intern time.
-            const analysis::InstRecord &rec = *ai.rec;
-            int selfCarried = 0;
-            for (const analysis::DepRead &dr : rec.depReads) {
-                int producer = lastWriter[dr.value];
-                int iterCount = 0;
-                if (producer < 0) {
-                    producer = lastWriterEnd[dr.value];
-                    iterCount = 1;
-                }
-                if (producer < 0)
-                    continue; // loop-invariant input
-                if (iterCount) {
-                    if (s.nodeInst[producer] != static_cast<int>(i))
-                        g.selfCarriedOnly = false;
-                    else if (rec.stackOp && ++selfCarried > 1)
-                        g.selfCarriedOnly = false;
-                }
-                for (int w = 0; w < nWrites; ++w) {
-                    double edgeLat = dr.latency;
-                    // The stack engine updates rsp outside the execution
-                    // core; rsp results of stack ops are available
-                    // immediately.
-                    if (rec.stackOp &&
-                        s.nodeValue[firstWriteNode + w] == 4)
-                        edgeLat = 0.0;
-                    if (iterCount && producer == firstWriteNode + w &&
-                        edgeLat > g.maxSelfRatio)
-                        g.maxSelfRatio = edgeLat;
-                    s.edges.push(producer, firstWriteNode + w, edgeLat,
-                                 iterCount);
-                }
-            }
-        } else if (!sets.depBreaking && nWrites > 0) {
+        if (!sets.depBreaking && nWrites > 0) {
             // Determine which reads are address registers of a load.
             const isa::MemOp *m = ai.dec->inst.memOperand();
             const bool loads = ai.dec->inst.isLoad();

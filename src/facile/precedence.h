@@ -123,8 +123,7 @@ struct CycleRatioResult
 struct PrecedenceScratch
 {
     // Dependence-graph construction.
-    std::vector<isa::RwSets> rw; ///< fallback for blocks without ai.rw
-    std::vector<const isa::RwSets *> rwPtr;
+    std::vector<isa::RwSets> rw; ///< per-instruction read/write sets
     std::vector<int> nodeInst;
     std::vector<int> nodeValue;
     EdgeArrays edges;

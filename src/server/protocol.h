@@ -68,12 +68,12 @@
  * SNAPSHOT subops (the first request-payload byte; an empty payload
  * means SAVE for compatibility with pre-cluster clients):
  *
- *   0 = SAVE   persist a warm-start snapshot — intern arenas +
- *              prediction cache — to the operator-configured
+ *   0 = SAVE   persist a warm-start snapshot — the prediction
+ *              cache — to the operator-configured
  *              snapshotPath; answers BAD_REQUEST when no path is
  *              configured or the save fails. The path is never taken
  *              from the wire.
- *   1 = FETCH  stream the live snapshot image (always format v2) to
+ *   1 = FETCH  stream the live snapshot image (the current version) to
  *              the caller: the response is a SEQUENCE of frames, all
  *              carrying the request id, op SNAPSHOT, status OK, each
  *              with a chunk payload
@@ -86,7 +86,7 @@
  *              totalBytes (a zero-byte image is one data-less chunk).
  *              This is how a new replica bootstraps: fetch a peer's
  *              image, validate, land it on disk, and warm-start
- *              bit-identically through the normal mmap load path.
+ *              bit-identically through the normal load path.
  *              Servers that predate the subop answer BAD_REQUEST —
  *              callers fall back to a cold start.
  *
@@ -247,7 +247,7 @@ struct ServerStats
     std::uint64_t predictions = 0;     ///< PREDICT responses sent
     std::uint64_t batches = 0;         ///< engine batch submissions
     std::uint64_t maxBatch = 0;        ///< largest admission batch so far
-    std::uint64_t analysisCacheHits = 0;
+    std::uint64_t analysisCacheHits = 0; ///< always 0: no analysis cache
     std::uint64_t predictionCacheHits = 0;
     std::uint64_t analyzed = 0;
 
@@ -278,12 +278,11 @@ struct ServerStats
     std::uint64_t drainSheds = 0;        ///< PREDICTs answered DRAINING
     std::uint64_t snapshotFallbacks = 0; ///< warm-start generations skipped
 
-    // Appended in PR 9 (mmap-native snapshot v2).
+    // Appended in PR 9.
     /**
      * How the warm-start snapshot was brought in, as the numeric
-     * value of analysis::SnapshotLoadMode: 0 cold, 3 bound
-     * (O(pages-touched) start). 1 and 2 are never reported by a
-     * server: 1 is retired, 2 is the in-memory parse.
+     * value of analysis::SnapshotLoadMode: 0 cold, 2 parsed. 1 and 3
+     * are retired and never reported.
      */
     std::uint64_t snapshotLoadMode = 0;
 

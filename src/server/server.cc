@@ -899,9 +899,8 @@ struct PredictionServer::Impl
                 std::memory_order_relaxed);
             std::fprintf(
                 stderr,
-                "warm start: %zu records, %zu predictions from %s"
-                " (generation %zu, bound)\n",
-                st.records, st.predictions,
+                "warm start: %zu predictions from %s (generation %zu)\n",
+                st.predictions,
                 analysis::snapshotGenerationPath(
                     opts.snapshotLoadPath, static_cast<int>(st.generation))
                     .c_str(),

@@ -82,12 +82,7 @@ buildTemplate(const AnnotatedInst &ai, const MicroArchConfig &cfg)
         return t;
     }
 
-    // Interned blocks carry precomputed read/write sets; fall back to
-    // computing them for hand-built blocks.
-    isa::RwSets rwLocal;
-    if (!ai.rw)
-        isa::instRw(ai.dec->inst, rwLocal);
-    const isa::RwSets &rw = ai.rw ? *ai.rw : rwLocal;
+    const isa::RwSets rw = isa::instRw(ai.dec->inst);
     const isa::MemOp *m = ai.dec->inst.memOperand();
     const bool loads = ai.dec->inst.isLoad();
     const bool stackOp = ai.dec->inst.mnem == isa::Mnemonic::PUSH ||

@@ -7,11 +7,11 @@
  * so rebuilding an unchanged image is bit-identical by construction.
  *
  * Subcommands:
- *   dump <file> [--hex]                    layout + per-arch stats
+ *   dump <file> [--hex]                    layout + stats
  *   verify <file>...                       deep validation, CI-friendly
  *   diff <a> <b>                           logical comparison
  *   merge <out> <in>... [--dry-run]
- *   compact <in> [--out P] [--drop-predictions] [--dry-run]
+ *   compact <in> [--out P] [--dry-run]
  *
  * Exit codes: 0 success (verify: all valid; diff: identical),
  * 1 semantic failure (invalid image, diff mismatch, merge conflict),
@@ -23,22 +23,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
 #include "corpus/sections.h"
-#include "uarch/config.h"
 
 namespace {
 
 using facile::analysis::SnapshotError;
-using facile::analysis::SnapshotModel;
 
 /** Command-line misuse (bad flags, missing operands): exit 2. */
 class UsageError : public std::runtime_error
@@ -88,15 +83,6 @@ writeAtomic(const std::string &path, const std::vector<std::uint8_t> &bytes)
     }
 }
 
-const char *
-archName(std::uint32_t archWord)
-{
-    const auto &all = facile::uarch::allUArchs();
-    if (archWord >= all.size())
-        return "?";
-    return facile::uarch::config(all[archWord]).abbrev;
-}
-
 // ---- canonical model (merge / compact) -------------------------------------
 //
 // The set/union layer itself lives in the library
@@ -105,7 +91,6 @@ archName(std::uint32_t archWord)
 // merge identically by construction.
 
 using ModelSet = facile::analysis::SnapshotModelSet;
-using ArchSet = ModelSet::ArchSet;
 
 // ---- subcommands -----------------------------------------------------------
 
@@ -129,19 +114,10 @@ cmdDump(const std::vector<std::string> &args)
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
     std::printf("file:        %s\n", path.c_str());
-    std::printf("format:      v2 (version %u)\n",
+    std::printf("format:      version %u\n",
                 facile::analysis::kSnapshotVersion);
     std::printf("bytes:       %zu\n", img.size());
-    std::printf("records:     %zu\n", st.records);
-    std::printf("fused pairs: %zu\n", st.fusedPairs);
     std::printf("predictions: %zu\n", st.predictions);
-
-    const SnapshotModel m =
-        facile::analysis::parseSnapshotModel(img.data(), img.size());
-    for (const SnapshotModel::Arch &a : m.arches)
-        std::printf("  arch %-4s records %-6zu pairs %zu\n",
-                    archName(a.arch), a.records.size(),
-                    a.fusedPairs.size());
 
     std::uint32_t count = 0;
     std::memcpy(&count, img.data() + 20, 4);
@@ -149,12 +125,9 @@ cmdDump(const std::vector<std::string> &args)
         img.data() + 64, img.size() - 64, count, img.size());
     std::printf("sections:    %u\n", count);
     for (const facile::corpus::SectionEntry &e : table) {
-        static const char *kTypes[] = {"?", "records", "pairs",
-                                       "predictions"};
-        std::printf("  %-11s tag %-4s offset %-10llu length %-10llu "
+        std::printf("  %-11s offset %-10llu length %-10llu "
                     "items %-6llu hash %016llx\n",
-                    e.type < 4 ? kTypes[e.type] : "?",
-                    e.type == 3 ? "-" : archName(e.tag),
+                    e.type == 3 ? "predictions" : "?",
                     static_cast<unsigned long long>(e.offset),
                     static_cast<unsigned long long>(e.length),
                     static_cast<unsigned long long>(e.itemCount),
@@ -186,9 +159,7 @@ cmdVerify(const std::vector<std::string> &args)
             const facile::analysis::SnapshotStats st =
                 facile::analysis::validateSnapshot(img.data(),
                                                    img.size());
-            std::printf("OK   %s  %zu records, %zu pairs, "
-                        "%zu predictions\n",
-                        path.c_str(), st.records, st.fusedPairs,
+            std::printf("OK   %s  %zu predictions\n", path.c_str(),
                         st.predictions);
         } catch (const std::exception &e) {
             std::printf("FAIL %s  %s\n", path.c_str(), e.what());
@@ -221,41 +192,6 @@ cmdDiff(const std::vector<std::string> &args)
         std::printf("%s: %zu %s\n", what, n, dir);
     };
 
-    std::set<std::uint32_t> archWords;
-    for (const auto &[w, _] : sa.arches)
-        archWords.insert(w);
-    for (const auto &[w, _] : sb.arches)
-        archWords.insert(w);
-    for (std::uint32_t w : archWords) {
-        const ArchSet empty;
-        const ArchSet &a = sa.arches.count(w) ? sa.arches[w] : empty;
-        const ArchSet &b = sb.arches.count(w) ? sb.arches[w] : empty;
-        std::size_t onlyA = 0, onlyB = 0, changed = 0;
-        for (const auto &[key, enc] : a.records) {
-            auto it = b.records.find(key);
-            if (it == b.records.end())
-                ++onlyA;
-            else if (it->second.first != enc.first)
-                ++changed;
-        }
-        for (const auto &[key, enc] : b.records)
-            if (!a.records.count(key))
-                ++onlyB;
-        std::size_t pairsOnlyA = 0, pairsOnlyB = 0;
-        for (const auto &p : a.pairs)
-            pairsOnlyA += !b.pairs.count(p);
-        for (const auto &p : b.pairs)
-            pairsOnlyB += !a.pairs.count(p);
-        if (onlyA + onlyB + changed + pairsOnlyA + pairsOnlyB) {
-            std::printf("arch %s:\n", archName(w));
-            report("  records", onlyA, "only in A");
-            report("  records", onlyB, "only in B");
-            report("  records", changed, "changed");
-            report("  pairs", pairsOnlyA, "only in A");
-            report("  pairs", pairsOnlyB, "only in B");
-        }
-    }
-
     std::size_t pOnlyA = 0, pOnlyB = 0, pChanged = 0;
     for (const auto &[key, payload] : sa.predictions) {
         auto it = sb.predictions.find(key);
@@ -272,13 +208,7 @@ cmdDiff(const std::vector<std::string> &args)
     report("predictions", pChanged, "changed");
 
     if (differences == 0) {
-        std::printf("identical: %zu records, %zu predictions\n",
-                    [&] {
-                        std::size_t n = 0;
-                        for (const auto &[_, a] : sa.arches)
-                            n += a.records.size();
-                        return n;
-                    }(),
+        std::printf("identical: %zu predictions\n",
                     sa.predictions.size());
         return 0;
     }
@@ -292,10 +222,9 @@ emitImage(const std::vector<std::uint8_t> &img, const std::string &out,
 {
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
-    std::printf("%s%s: %zu bytes, %zu records, %zu pairs, "
-                "%zu predictions\n",
+    std::printf("%s%s: %zu bytes, %zu predictions\n",
                 dryRun ? "would write " : "wrote ", out.c_str(),
-                img.size(), st.records, st.fusedPairs, st.predictions);
+                img.size(), st.predictions);
     if (!dryRun)
         writeAtomic(out, img);
     return 0;
@@ -333,12 +262,10 @@ int
 cmdCompact(const std::vector<std::string> &args)
 {
     std::string in, out;
-    bool dropPredictions = false, dryRun = false;
+    bool dryRun = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--out" && i + 1 < args.size())
             out = args[++i];
-        else if (args[i] == "--drop-predictions")
-            dropPredictions = true;
         else if (args[i] == "--dry-run")
             dryRun = true;
         else if (!in.empty())
@@ -347,8 +274,7 @@ cmdCompact(const std::vector<std::string> &args)
             in = args[i];
     }
     if (in.empty())
-        throw UsageError(
-            "compact <in> [--out P] [--drop-predictions] [--dry-run]");
+        throw UsageError("compact <in> [--out P] [--dry-run]");
     if (out.empty())
         out = in;
 
@@ -357,10 +283,6 @@ cmdCompact(const std::vector<std::string> &args)
     set.accumulate(facile::analysis::parseSnapshotModel(img.data(),
                                                         img.size()),
                    in);
-    if (dropPredictions) {
-        set.hasPredictions = false;
-        set.predictions.clear();
-    }
     const std::vector<std::uint8_t> rebuilt =
         facile::analysis::buildSnapshotImage(set.canonical());
     std::printf("compact %s: %zu -> %zu bytes\n", in.c_str(), img.size(),
@@ -378,7 +300,7 @@ usage(std::FILE *to)
         "  verify <file>...               validate deeply; exit 0/1\n"
         "  diff <a> <b>                   compare contents; exit 0/1\n"
         "  merge <out> <in>... [--dry-run]\n"
-        "  compact <in> [--out P] [--drop-predictions] [--dry-run]\n");
+        "  compact <in> [--out P] [--dry-run]\n");
     return to == stdout ? 0 : 2;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Basic-block layer tests: decode+annotate pipeline, byte offsets,
- * macro-fusion folding, µop totals, and JCC-erratum boundary detection.
+ * macro-fusion folding, µop totals, JCC-erratum boundary detection,
+ * and copy-on-write annotation mutation.
  */
 #include <gtest/gtest.h>
 
@@ -149,6 +150,35 @@ TEST(BasicBlock, RoundTripThroughBytes)
     ASSERT_EQ(blk.insts.size(), 3u);
     EXPECT_EQ(blk.bytes, bytes);
     EXPECT_EQ(blk.insts[1].dec->inst.mnem, Mnemonic::VFMADD231PD);
+}
+
+TEST(BasicBlock, MutableInfoIsCopyOnWrite)
+{
+    std::vector<Inst> insts = {
+        make(Mnemonic::IMUL, {R(RAX), R(RBX)}),
+        make(Mnemonic::ADD, {R(RCX), R(RAX)}),
+    };
+    BasicBlock blk = analyze(insts, UArch::SKL);
+    BasicBlock copy = blk;
+
+    const int origLatency = blk.insts[0].info->latency;
+    copy.mutableInfo(0).latency = origLatency + 7;
+
+    // The copy sees its mutation; the original, which shared the
+    // annotations, and a fresh analysis do not.
+    EXPECT_EQ(copy.insts[0].info->latency, origLatency + 7);
+    EXPECT_EQ(blk.insts[0].info->latency, origLatency);
+    EXPECT_NE(copy.insts[0].info, blk.insts[0].info);
+    BasicBlock again = analyze(insts, UArch::SKL);
+    EXPECT_EQ(again.insts[0].info->latency, origLatency);
+
+    // Once the copy owns its annotations, later mutations stay in
+    // place.
+    const uops::InstrInfo *owned = copy.insts[0].info;
+    copy.mutableInfo(1).latency += 1;
+    EXPECT_EQ(copy.insts[0].info, owned);
+    EXPECT_EQ(copy.insts[1].info->latency,
+              blk.insts[1].info->latency + 1);
 }
 
 } // namespace

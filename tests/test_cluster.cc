@@ -415,7 +415,7 @@ TEST(Bootstrap, WireFetchBitIdenticalToLocalSave)
     engine::PredictionEngine fresh({.numThreads = 1});
     const analysis::SnapshotStats st =
         analysis::loadSnapshot(path, {&fresh});
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
     EXPECT_GT(st.predictions, 0u);
     std::remove(path.c_str());
 }

@@ -2,15 +2,14 @@
  * @file
  * Tests for the warm-start snapshot (src/analysis/snapshot.h).
  *
- * The core contracts: (1) every interned record round-trips field for
- * field through an image; (2) save → load in the same process is an
- * append-only no-op (existing records win; predictions stay
- * bit-identical); (3) a *fresh process* started from a snapshot
- * produces bit-identical predictions to a cold process over the full
- * suite on all nine arches (child-process probes); (4) corrupted,
- * truncated, or version-mismatched files are rejected without
- * importing anything; (5) a restored engine prediction cache serves
- * hits immediately.
+ * The core contracts: (1) an engine's prediction cache round-trips
+ * through an image and serves hits immediately; (2) a *fresh process*
+ * started from a snapshot produces bit-identical predictions to a cold
+ * process over the full suite on all nine arches (child-process
+ * probes); (3) corrupted, truncated, or version-mismatched files are
+ * rejected without committing anything, and the generation walk falls
+ * back past them; (4) saves are atomic and leave every kept generation
+ * loadable, whatever fails mid-save.
  */
 #include <gtest/gtest.h>
 
@@ -21,20 +20,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
-#include "corpus/sections.h"
-#include "testing/fault.h"
 #include "bb/basic_block.h"
 #include "bhive/generator.h"
+#include "corpus/sections.h"
 #include "engine/engine.h"
 #include "eval/harness.h"
 #include "facile/predictor.h"
+#include "testing/fault.h"
 
 namespace facile {
 namespace {
@@ -50,19 +47,38 @@ snapshotSuite()
     return suite;
 }
 
-/** Analyze the suite on every arch so the interners have content. */
-void
-populateInterners()
+/** TPU and TPL of the whole suite on every arch. */
+const std::vector<engine::Request> &
+suiteRequests()
 {
-    static const bool done = [] {
+    static const std::vector<engine::Request> reqs = [] {
+        std::vector<engine::Request> out;
         for (uarch::UArch arch : uarch::allUArchs())
             for (const auto &b : snapshotSuite()) {
-                bb::analyze(b.bytesU, arch);
-                bb::analyze(b.bytesL, arch);
+                out.push_back({b.bytesU, arch, false, {}});
+                out.push_back({b.bytesL, arch, true, {}});
             }
-        return true;
+        return out;
     }();
-    (void)done;
+    return reqs;
+}
+
+/** An engine whose prediction cache holds the whole suite. */
+engine::PredictionEngine &
+warmEngine()
+{
+    static engine::PredictionEngine *const eng = [] {
+        auto *e = new engine::PredictionEngine({.numThreads = 2});
+        e->predictBatch(suiteRequests());
+        return e;
+    }();
+    return *eng;
+}
+
+analysis::SnapshotOptions
+warm()
+{
+    return {&warmEngine()};
 }
 
 std::string
@@ -72,137 +88,113 @@ tmpPath(const char *tag)
            std::to_string(::getpid()) + ".bin";
 }
 
-/** Bit-sensitive digest over TPL+TPU predictions of the whole suite. */
+/** Bit-sensitive digest over throughputs and component values. */
 std::uint64_t
-suiteDigest()
+digestOf(const std::vector<model::Prediction> &preds)
 {
     corpus::Xxh64State h;
-    model::PredictScratch &scratch = model::tlsPredictScratch();
-    for (uarch::UArch arch : uarch::allUArchs())
-        for (const auto &b : snapshotSuite())
-            for (bool loop : {false, true}) {
-                const model::Prediction p = model::predict(
-                    bb::analyze(loop ? b.bytesL : b.bytesU, arch), loop,
-                    {}, scratch);
-                h.update(&p.throughput, sizeof p.throughput);
-                h.update(p.componentValue.data(),
-                         sizeof(double) * p.componentValue.size());
-            }
+    for (const model::Prediction &p : preds) {
+        h.update(&p.throughput, sizeof p.throughput);
+        h.update(p.componentValue.data(),
+                 sizeof(double) * p.componentValue.size());
+    }
     return h.digest();
 }
 
-bool
-sameRecord(const analysis::InstRecord &a, const analysis::InstRecord &b)
+/** Digest of serial analyze + predict over the suite requests. */
+std::uint64_t
+suiteDigest()
 {
-    if (a.dec.inst.mnem != b.dec.inst.mnem ||
-        a.dec.inst.cc != b.dec.inst.cc ||
-        a.dec.inst.nopLen != b.dec.inst.nopLen ||
-        a.dec.inst.ops != b.dec.inst.ops ||
-        a.dec.length != b.dec.length ||
-        a.dec.opcodeOffset != b.dec.opcodeOffset ||
-        a.dec.lcp != b.dec.lcp)
-        return false;
-    if (a.info.fusedUops != b.info.fusedUops ||
-        a.info.issueUops != b.info.issueUops ||
-        a.info.latency != b.info.latency ||
-        a.info.needsComplexDecoder != b.info.needsComplexDecoder ||
-        a.info.nAvailableSimpleDecoders !=
-            b.info.nAvailableSimpleDecoders ||
-        a.info.macroFusible != b.info.macroFusible ||
-        a.info.eliminated != b.info.eliminated ||
-        a.info.portUops.size() != b.info.portUops.size())
-        return false;
-    for (std::size_t i = 0; i < a.info.portUops.size(); ++i)
-        if (a.info.portUops[i].ports != b.info.portUops[i].ports ||
-            a.info.portUops[i].kind != b.info.portUops[i].kind)
-            return false;
-    if (a.rw.reads != b.rw.reads || a.rw.writes != b.rw.writes ||
-        a.rw.depBreaking != b.rw.depBreaking)
-        return false;
-    if (a.depReads.size() != b.depReads.size())
-        return false;
-    for (std::size_t i = 0; i < a.depReads.size(); ++i)
-        if (a.depReads[i].value != b.depReads[i].value ||
-            std::memcmp(&a.depReads[i].latency, &b.depReads[i].latency,
-                        sizeof(double)) != 0)
-            return false;
-    if (a.portMasks != b.portMasks || a.stackOp != b.stackOp ||
-        a.depBreaking != b.depBreaking ||
-        a.nWritesInl != b.nWritesInl || a.nDepInl != b.nDepInl)
-        return false;
-    if (a.nWritesInl != analysis::InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < a.nWritesInl; ++i)
-            if (a.writesInl[i] != b.writesInl[i])
-                return false;
-    if (a.nDepInl != analysis::InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < a.nDepInl; ++i)
-            if (a.depInl[i].value != b.depInl[i].value ||
-                std::memcmp(&a.depInl[i].latency, &b.depInl[i].latency,
-                            sizeof(double)) != 0)
-                return false;
-    return a.fuseClass == b.fuseClass && a.isJcc == b.isJcc &&
-           a.jccReadsCf == b.jccReadsCf &&
-           a.jccTestsSOP == b.jccTestsSOP;
+    std::vector<model::Prediction> preds;
+    for (const engine::Request &r : suiteRequests())
+        preds.push_back(model::predict(bb::analyze(r.bytes, r.arch), r.loop,
+                                       r.config, model::tlsPredictScratch(),
+                                       r.payload));
+    return digestOf(preds);
 }
 
-TEST(Snapshot, RecordRoundTripAllArches)
+/** Read the whole file (for the in-memory entry-point tests). */
+std::vector<std::uint8_t>
+slurpFile(const std::string &path)
 {
-    populateInterners();
-    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
-    const analysis::SnapshotModel m =
-        analysis::parseSnapshotModel(img.data(), img.size());
-    EXPECT_EQ(m.arches.size(), uarch::allUArchs().size());
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    std::fseek(f, 0, SEEK_END);
+    std::vector<std::uint8_t> buf(
+        static_cast<std::size_t>(std::ftell(f)));
+    std::fseek(f, 0, SEEK_SET);
+    EXPECT_EQ(std::fread(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+    return buf;
+}
 
-    std::map<std::pair<std::uint32_t, std::vector<std::uint8_t>>,
-             const analysis::InstRecord *>
-        parsed;
-    for (const analysis::SnapshotModel::Arch &a : m.arches)
-        for (const auto &[key, rec] : a.records)
-            parsed.emplace(std::make_pair(a.arch, key), &rec);
-
-    std::size_t checked = 0;
-    for (uarch::UArch arch : uarch::allUArchs()) {
-        const auto archWord = static_cast<std::uint32_t>(arch);
-        analysis::InstInterner::forArch(arch).exportRecords(
-            [&](const std::uint8_t *bytes, std::size_t len,
-                const analysis::InstRecord &rec) {
-                const auto it = parsed.find(std::make_pair(
-                    archWord, std::vector<std::uint8_t>(bytes, bytes + len)));
-                ASSERT_NE(it, parsed.end());
-                EXPECT_TRUE(sameRecord(rec, *it->second));
-                ++checked;
-            });
+/** Overwrite @p path with @p bytes. */
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
     }
-    // Each arch saw a few hundred distinct instructions.
-    EXPECT_GT(checked, 1000u);
-    EXPECT_EQ(checked, parsed.size());
+    std::fclose(f);
 }
 
-TEST(Snapshot, SaveLoadSameProcessIsAppendOnlyNoOp)
+/** Entries in @p eng's prediction cache. */
+std::size_t
+cacheSize(const engine::PredictionEngine &eng)
 {
-    populateInterners();
-    const std::uint64_t before = suiteDigest();
-    const std::string path = tmpPath("noop");
+    return eng.exportPredictionCache(
+        [](const std::string &, const model::Prediction &) {});
+}
 
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_GT(saved.records, 1000u);
-    EXPECT_GT(saved.fusedPairs, 0u);
-    EXPECT_GT(saved.bytes, 0u);
+/** Decode the section table of an image (validated, file order). */
+std::vector<corpus::SectionEntry>
+sectionTable(const std::vector<std::uint8_t> &img)
+{
+    EXPECT_GE(img.size(), 64u);
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 20, 4);
+    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
+                                      count, img.size());
+}
 
-    const analysis::SnapshotStats loaded = analysis::loadSnapshot(path);
-    EXPECT_EQ(loaded.records, saved.records);
-    EXPECT_EQ(loaded.fusedPairs, saved.fusedPairs);
-    // Same process: every key is already interned; nothing may append.
-    EXPECT_EQ(loaded.newRecords, 0u);
+/**
+ * Re-stamp every section hash, the table, the file size and the header
+ * hash after editing @p img, so only the edit itself can fail a load.
+ */
+void
+restamp(std::vector<std::uint8_t> &img,
+        std::vector<corpus::SectionEntry> table)
+{
+    for (corpus::SectionEntry &e : table)
+        e.hash = corpus::xxh64(img.data() + e.offset, e.length);
+    const std::vector<std::uint8_t> tbl = corpus::encodeSectionTable(table);
+    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
+    const std::uint64_t fileBytes = img.size();
+    std::memcpy(img.data() + 24, &fileBytes, 8);
+    const std::uint64_t tableHash =
+        corpus::xxh64(img.data() + 64, tbl.size());
+    std::memcpy(img.data() + 40, &tableHash, 8);
+    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
+    std::memcpy(img.data() + 48, &headerHash, 8);
+}
 
-    // Predictions after the load are bit-identical to before.
-    EXPECT_EQ(before, suiteDigest());
-    std::remove(path.c_str());
+/** An image of the first @p n predictions of a full save. */
+std::vector<std::uint8_t>
+smallImage(std::size_t n)
+{
+    const std::vector<std::uint8_t> img =
+        analysis::saveSnapshotToMemory(warm());
+    analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    m.predictions.resize(n);
+    return analysis::buildSnapshotImage(m);
 }
 
 TEST(Snapshot, EnginePredictionCacheRoundTrip)
 {
-    populateInterners();
     std::vector<engine::Request> batch;
     for (const auto &b : snapshotSuite())
         batch.push_back({b.bytesL, uarch::UArch::SKL, true, {}});
@@ -222,6 +214,7 @@ TEST(Snapshot, EnginePredictionCacheRoundTrip)
     const analysis::SnapshotStats loaded =
         analysis::loadSnapshot(path, {&restored});
     EXPECT_EQ(loaded.predictions, saved.predictions);
+    EXPECT_EQ(loaded.loadMode, analysis::SnapshotLoadMode::Parsed);
 
     engine::BatchStats bs;
     const std::vector<model::Prediction> out =
@@ -230,140 +223,88 @@ TEST(Snapshot, EnginePredictionCacheRoundTrip)
     EXPECT_EQ(bs.analyzed, 0u);
     for (std::size_t i = 0; i < batch.size(); ++i)
         EXPECT_TRUE(samePrediction(out[i], expected[i])) << i;
+
+    // Loading into an engine that already holds the keys changes
+    // nothing: the live entries win.
+    analysis::loadSnapshot(path, {&restored});
+    EXPECT_EQ(cacheSize(restored), saved.predictions);
     std::remove(path.c_str());
-}
-
-/** Read the whole file (for the in-memory entry-point tests). */
-std::vector<std::uint8_t>
-slurpFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    std::vector<std::uint8_t> buf(
-        static_cast<std::size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    EXPECT_EQ(std::fread(buf.data(), 1, buf.size(), f), buf.size());
-    std::fclose(f);
-    return buf;
-}
-
-/** Count canonical records currently interned for @p arch. */
-std::size_t
-recordCount(uarch::UArch arch)
-{
-    std::size_t n = 0;
-    analysis::InstInterner::forArch(arch).exportRecords(
-        [&](const std::uint8_t *, std::size_t,
-            const analysis::InstRecord &) { ++n; });
-    return n;
 }
 
 TEST(Snapshot, MemoryLoadMatchesFileLoad)
 {
-    populateInterners();
     const std::string path = tmpPath("memload");
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
+    const analysis::SnapshotStats saved = analysis::saveSnapshot(path, warm());
+    ASSERT_EQ(saved.predictions, cacheSize(warmEngine()));
 
+    engine::PredictionEngine fromFile({.numThreads = 1});
+    const analysis::SnapshotStats file =
+        analysis::loadSnapshot(path, {&fromFile, 1});
     const std::vector<std::uint8_t> img = slurpFile(path);
     std::remove(path.c_str());
+    engine::PredictionEngine fromMemory({.numThreads = 1});
+    const analysis::SnapshotStats mem = analysis::loadSnapshotFromMemory(
+        img.data(), img.size(), {&fromMemory});
+
+    // One parse-and-commit path: same report, same cache contents.
+    for (const analysis::SnapshotStats &st : {file, mem}) {
+        EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
+        EXPECT_EQ(st.predictions, saved.predictions);
+        EXPECT_EQ(st.bytes, img.size());
+        EXPECT_EQ(st.generation, 0u);
+    }
+    EXPECT_EQ(analysis::saveSnapshotToMemory({&fromFile}),
+              analysis::saveSnapshotToMemory({&fromMemory}));
+}
+
+TEST(Snapshot, ValidateAndFailedLoadsCommitNothing)
+{
+    const std::vector<std::uint8_t> good =
+        analysis::saveSnapshotToMemory(warm());
     const analysis::SnapshotStats st =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
-    EXPECT_EQ(st.bytes, img.size());
-    // Same process: every key already interned, nothing appended.
-    EXPECT_EQ(st.newRecords, 0u);
+        analysis::validateSnapshot(good.data(), good.size());
+    EXPECT_EQ(st.predictions, cacheSize(warmEngine()));
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::None);
+
+    // Every entry of this image is valid, but one stray byte trails
+    // the last of them: the parse reaches the end and only then
+    // fails. None of the valid entries may be committed.
+    std::vector<std::uint8_t> bad = good;
+    std::vector<corpus::SectionEntry> table = sectionTable(bad);
+    ASSERT_EQ(table.size(), 1u);
+    ASSERT_EQ(table[0].offset + table[0].length, bad.size());
+    bad.push_back(0);
+    table[0].length += 1;
+    restamp(bad, table);
+
+    engine::PredictionEngine eng({.numThreads = 1});
+    EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                 analysis::SnapshotError);
+    EXPECT_THROW(analysis::loadSnapshotFromMemory(bad.data(), bad.size(),
+                                                  {&eng}),
+                 analysis::SnapshotError);
+    EXPECT_EQ(cacheSize(eng), 0u);
+
+    const std::string path = tmpPath("badload");
+    writeFile(path, bad);
+    EXPECT_THROW(analysis::loadSnapshot(path, {&eng, 1}),
+                 analysis::SnapshotError);
+    EXPECT_EQ(cacheSize(eng), 0u);
+    std::remove(path.c_str());
 }
 
-TEST(Snapshot, ValidateStagesEverythingAndCommitsNothing)
+TEST(Snapshot, ForgedPredictionCountIsRejected)
 {
-    populateInterners();
-    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
-    analysis::SnapshotModel m =
-        analysis::parseSnapshotModel(img.data(), img.size());
-    ASSERT_FALSE(m.arches.empty());
-    ASSERT_FALSE(m.arches[0].records.empty());
-
-    // Forge a never-seen intern key (the key is opaque to validation):
-    // 0xD6 is not a valid opcode in 64-bit mode, so no block can ever
-    // decode to these bytes and later tests never look the record up.
-    // A committing load of the rebuilt image WOULD append it.
-    m.arches[0].records[0].first.assign(15, 0xD6);
-    const std::vector<std::uint8_t> forged =
-        analysis::buildSnapshotImage(m);
-    const auto arch = static_cast<uarch::UArch>(m.arches[0].arch);
-
-    // validateSnapshot: full staging pass, zero commitment.
-    const std::size_t before = recordCount(arch);
-    const analysis::SnapshotStats st =
-        analysis::validateSnapshot(forged.data(), forged.size());
-    EXPECT_GT(st.records, 0u);
-    EXPECT_EQ(st.newRecords, 0u);
-    EXPECT_EQ(recordCount(arch), before);
-
-    // The same image, committed, appends the forged-key record.
-    const analysis::SnapshotStats loaded =
-        analysis::loadSnapshotFromMemory(forged.data(), forged.size());
-    EXPECT_EQ(loaded.newRecords, 1u);
-    EXPECT_EQ(recordCount(arch), before + 1);
-}
-
-/** A one-arch, @p n-record image cut from a full save. */
-std::vector<std::uint8_t>
-smallImage(std::size_t n)
-{
-    populateInterners();
-    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
-    analysis::SnapshotModel m =
-        analysis::parseSnapshotModel(img.data(), img.size());
-    m.arches.resize(1);
-    m.arches[0].records.resize(n);
-    m.arches[0].fusedPairs.clear();
-    m.hasPredictions = false;
-    m.predictions.clear();
-    return analysis::buildSnapshotImage(m);
-}
-
-/** Decode the section table of an image (validated, file order). */
-std::vector<corpus::SectionEntry>
-v2Table(const std::vector<std::uint8_t> &img)
-{
-    EXPECT_GE(img.size(), 64u);
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
-                                      count, img.size());
-}
-
-/** Re-stamp the table and header hashes after editing @p img. */
-void
-restampHeader(std::vector<std::uint8_t> &img,
-              const std::vector<corpus::SectionEntry> &table)
-{
-    const std::vector<std::uint8_t> tbl = corpus::encodeSectionTable(table);
-    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-    const std::uint64_t fileBytes = img.size();
-    std::memcpy(img.data() + 24, &fileBytes, 8);
-    const std::uint64_t tableHash =
-        corpus::xxh64(img.data() + 64, tbl.size());
-    std::memcpy(img.data() + 40, &tableHash, 8);
-    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
-    std::memcpy(img.data() + 48, &headerHash, 8);
-}
-
-TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
-{
-    // A Records table entry claiming 2^32-1 items over a one-record
-    // section must be rejected — and, with the clamped reserve,
-    // without first attempting a count-sized allocation (both hashes
-    // are unkeyed, so an attacker can stamp any count they like).
-    std::vector<std::uint8_t> img = smallImage(1);
-    std::vector<corpus::SectionEntry> table = v2Table(img);
-    ASSERT_EQ(table[0].type, 1u);
+    // A table entry and payload both claiming 2^32-1 predictions over
+    // a two-entry section must be rejected (both hashes are unkeyed,
+    // so an attacker can stamp any count they like).
+    std::vector<std::uint8_t> img = smallImage(2);
+    std::vector<corpus::SectionEntry> table = sectionTable(img);
+    ASSERT_EQ(table[0].type, 3u);
     table[0].itemCount = 0xFFFFFFFFu;
-    restampHeader(img, table);
+    const std::uint32_t forged = 0xFFFFFFFFu;
+    std::memcpy(img.data() + table[0].offset, &forged, 4);
+    restamp(img, table);
 
     EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
                  analysis::SnapshotError);
@@ -384,11 +325,11 @@ TEST(Snapshot, EveryTruncationRejected)
 
 /**
  * Child half of the fresh-process property: when the probe env vars
- * are set (by FreshProcessBitIdentity, in a *child* process whose
- * interners are empty), optionally load the snapshot, predict the
- * whole suite, and write the digest plus the lazy-section counters for
- * the parent. In a normal test run the env vars are unset and this is
- * a skip.
+ * are set (by FreshProcessBitIdentity, in a *child* process), load the
+ * snapshot into a fresh engine unless none is given, predict the whole
+ * suite through it, and write the digest and the prediction-cache hit
+ * count for the parent. In a normal test run the env vars are unset
+ * and this is a skip.
  */
 TEST(SnapshotProbe, Emit)
 {
@@ -396,41 +337,21 @@ TEST(SnapshotProbe, Emit)
     if (!out)
         GTEST_SKIP() << "probe mode only (spawned by "
                         "FreshProcessBitIdentity)";
+    engine::PredictionEngine eng({.numThreads = 1});
     if (const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP")) {
-        // MmapFaultBindsHeapCopy: fail the mmap so the bind goes
-        // through the heap copy, and every record read below with it.
-        const bool mmapFault =
-            std::getenv("FACILE_SNAPSHOT_PROBE_MMAP_FAULT") != nullptr;
-        if (mmapFault)
-            testing::armFault("snapshot.mmap",
-                              {.firstHit = 0, .count = 1, .err = ENOMEM});
-        const analysis::SnapshotStats st = analysis::loadSnapshot(snap);
-        if (mmapFault)
-            ASSERT_EQ(testing::faultsFired("snapshot.mmap"), 1u);
-        // A file load binds: nothing is appended at load time,
-        // records materialize on first touch instead.
-        ASSERT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
-        ASSERT_EQ(st.newRecords, 0u);
-        ASSERT_GT(st.records, 0u);
-        // Resave *immediately* — before any prediction touches a
-        // record — so ResaveAfterBoundStartKeepsUniverse exercises the
-        // worst case: every record still behind the lazy bind.
-        if (const char *re =
-                std::getenv("FACILE_SNAPSHOT_PROBE_RESAVE")) {
-            const analysis::SnapshotStats rs = analysis::saveSnapshot(
-                re, {.generations = 1});
-            ASSERT_EQ(rs.records, st.records);
-            ASSERT_EQ(rs.fusedPairs, st.fusedPairs);
-        }
+        const analysis::SnapshotStats st =
+            analysis::loadSnapshot(snap, {&eng});
+        ASSERT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
+        ASSERT_GT(st.predictions, 0u);
     }
-    const std::uint64_t digest = suiteDigest();
-    const analysis::SnapshotSourceStats src = analysis::snapshotSourceStats();
+    engine::BatchStats bs;
+    const std::uint64_t digest =
+        digestOf(eng.predictBatch(suiteRequests(), &bs));
     std::FILE *f = std::fopen(out, "w");
     ASSERT_NE(f, nullptr);
-    std::fprintf(f, "%016llx %llu %llu\n",
+    std::fprintf(f, "%016llx %llu\n",
                  static_cast<unsigned long long>(digest),
-                 static_cast<unsigned long long>(src.sectionsVerified),
-                 static_cast<unsigned long long>(src.sectionsPoisoned));
+                 static_cast<unsigned long long>(bs.predictionCacheHits));
     std::fclose(f);
 }
 
@@ -438,20 +359,17 @@ TEST(SnapshotProbe, Emit)
 struct ProbeResult
 {
     unsigned long long digest = 0;
-    unsigned long long sectionsVerified = 0;
-    unsigned long long sectionsPoisoned = 0;
+    unsigned long long hits = 0;
 };
 
 /**
  * Run SnapshotProbe.Emit in a child — a genuinely cold process, this
  * test binary re-run via /proc/self/exe — that loads @p snap first
- * (unless empty) — through the heap copy when @p mmapFault — and
- * resaves to @p resave (unless empty). @return false when the child
- * failed or reported nothing.
+ * (unless empty). @return false when the child failed or reported
+ * nothing.
  */
 bool
-runProbe(const std::string &snap, ProbeResult &r,
-         const std::string &resave = "", bool mmapFault = false)
+runProbe(const std::string &snap, ProbeResult &r)
 {
     // /proc/self/exe must be resolved here: inside std::system's shell
     // child it would name the shell, not this binary.
@@ -464,10 +382,6 @@ runProbe(const std::string &snap, ProbeResult &r,
     std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
     if (!snap.empty())
         cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-    if (!resave.empty())
-        cmd += "FACILE_SNAPSHOT_PROBE_RESAVE='" + resave + "' ";
-    if (mmapFault)
-        cmd += "FACILE_SNAPSHOT_PROBE_MMAP_FAULT=1 ";
     cmd += "'" + std::string(self) +
            "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
     if (std::system(cmd.c_str()) != 0)
@@ -475,9 +389,7 @@ runProbe(const std::string &snap, ProbeResult &r,
     std::FILE *f = std::fopen(out.c_str(), "r");
     if (!f)
         return false;
-    const bool ok = std::fscanf(f, "%llx %llu %llu", &r.digest,
-                                &r.sectionsVerified,
-                                &r.sectionsPoisoned) == 3;
+    const bool ok = std::fscanf(f, "%llx %llu", &r.digest, &r.hits) == 2;
     std::fclose(f);
     std::remove(out.c_str());
     return ok;
@@ -485,23 +397,23 @@ runProbe(const std::string &snap, ProbeResult &r,
 
 /**
  * The headline property: a fresh process warm-started from a snapshot
- * produces bit-identical predictions (all nine arches, both notions)
- * to a fresh cold process. Runs this test binary twice as a child via
- * /proc/self/exe — each child is a genuinely cold process.
+ * answers the whole suite (all nine arches, both notions) from its
+ * prediction cache, bit-identically to a fresh cold process. Runs this
+ * test binary twice as a child via /proc/self/exe — each child is a
+ * genuinely cold process.
  */
 TEST(Snapshot, FreshProcessBitIdentity)
 {
-    populateInterners();
     const std::string snap = tmpPath("fresh");
-    analysis::saveSnapshot(snap);
+    analysis::saveSnapshot(snap, warm());
 
-    ProbeResult cold, warm;
+    ProbeResult cold, hot;
     ASSERT_TRUE(runProbe("", cold));
-    ASSERT_TRUE(runProbe(snap, warm));
-    EXPECT_EQ(cold.digest, warm.digest);
-    EXPECT_GT(warm.sectionsVerified, 0u);
-    EXPECT_EQ(warm.sectionsPoisoned, 0u);
-    // And both match this (differently warmed) process.
+    ASSERT_TRUE(runProbe(snap, hot));
+    EXPECT_EQ(cold.digest, hot.digest);
+    EXPECT_LT(cold.hits, hot.hits);
+    EXPECT_EQ(hot.hits, suiteRequests().size());
+    // And both match serial analysis in this process.
     EXPECT_EQ(cold.digest, suiteDigest());
     std::remove(snap.c_str());
 }
@@ -523,12 +435,9 @@ writeTorn(const std::string &p, const std::vector<std::uint8_t> &full,
           std::size_t len)
 {
     ASSERT_LE(len, full.size());
-    std::FILE *f = std::fopen(p.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (len > 0) {
-        ASSERT_EQ(std::fwrite(full.data(), 1, len, f), len);
-    }
-    std::fclose(f);
+    writeFile(p, std::vector<std::uint8_t>(
+                     full.begin(),
+                     full.begin() + static_cast<std::ptrdiff_t>(len)));
 }
 
 void
@@ -550,19 +459,18 @@ TEST(SnapshotCrashSafety, GenerationPathLayout)
 
 TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
 {
-    populateInterners();
     const std::string path = tmpPath("rotate");
     removeGenerations(path);
 
-    analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path, warm());
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".g1")) << "one save, one generation";
 
-    analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path, warm());
     EXPECT_TRUE(fileExists(path + ".g1"));
-    analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path, warm());
     EXPECT_TRUE(fileExists(path + ".g2"));
-    analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path, warm());
     // kSnapshotGenerations == 3: nothing rotates beyond .g2.
     EXPECT_FALSE(fileExists(path + ".g3"));
 
@@ -574,7 +482,8 @@ TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
     for (int g = 0; g < analysis::kSnapshotGenerations; ++g) {
         const analysis::SnapshotStats st = analysis::loadSnapshot(
             analysis::snapshotGenerationPath(path, g), {});
-        EXPECT_GT(st.records, 0u) << "generation " << g;
+        EXPECT_EQ(st.predictions, cacheSize(warmEngine()))
+            << "generation " << g;
         EXPECT_EQ(st.generation, 0u)
             << "direct load, no fallback involved";
     }
@@ -583,12 +492,12 @@ TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
 
 TEST(SnapshotCrashSafety, TornPrimaryFallsBackToPreviousGeneration)
 {
-    populateInterners();
     const std::string path = tmpPath("torn");
     removeGenerations(path);
 
-    const analysis::SnapshotStats first = analysis::saveSnapshot(path);
-    analysis::saveSnapshot(path); // rotates the first image to .g1
+    const analysis::SnapshotStats first =
+        analysis::saveSnapshot(path, warm());
+    analysis::saveSnapshot(path, warm()); // rotates the first to .g1
     const std::vector<std::uint8_t> primary = slurpFile(path);
 
     // A SIGKILL mid-write (without the atomic temp) would leave a
@@ -598,12 +507,12 @@ TEST(SnapshotCrashSafety, TornPrimaryFallsBackToPreviousGeneration)
          {std::size_t{0}, std::size_t{7}, std::size_t{31},
           primary.size() / 3, primary.size() / 2, primary.size() - 1}) {
         writeTorn(path, primary, cut);
-        const analysis::SnapshotStats st = analysis::loadSnapshot(path);
+        engine::PredictionEngine eng({.numThreads = 1});
+        const analysis::SnapshotStats st =
+            analysis::loadSnapshot(path, {&eng});
         EXPECT_EQ(st.generation, 1u) << "cut " << cut;
-        EXPECT_EQ(st.records, first.records) << "cut " << cut;
-        // Same process, so the fallback image appends nothing — and
-        // predictions stay bit-identical by the no-op property.
-        EXPECT_EQ(st.newRecords, 0u);
+        EXPECT_EQ(st.predictions, first.predictions) << "cut " << cut;
+        EXPECT_EQ(cacheSize(eng), first.predictions) << "cut " << cut;
     }
 
     // With the fallback gone too, the walk must report the root cause.
@@ -620,20 +529,20 @@ TEST(SnapshotCrashSafety, FallbackWarmStartIsBitIdenticalInFreshProcess)
     // must warm-start bit-identically to a cold run. Reuses the
     // SnapshotProbe.Emit child (it calls loadSnapshot, which walks
     // generations).
-    populateInterners();
     const std::string snap = tmpPath("fallback");
     removeGenerations(snap);
-    analysis::saveSnapshot(snap);
-    analysis::saveSnapshot(snap);
+    analysis::saveSnapshot(snap, warm());
+    analysis::saveSnapshot(snap, warm());
     {
         const std::vector<std::uint8_t> primary = slurpFile(snap);
         writeTorn(snap, primary, primary.size() / 2);
     }
 
-    ProbeResult cold, warm;
+    ProbeResult cold, hot;
     ASSERT_TRUE(runProbe("", cold));
-    ASSERT_TRUE(runProbe(snap, warm));
-    EXPECT_EQ(cold.digest, warm.digest);
+    ASSERT_TRUE(runProbe(snap, hot));
+    EXPECT_EQ(cold.digest, hot.digest);
+    EXPECT_EQ(hot.hits, suiteRequests().size());
     removeGenerations(snap);
 }
 
@@ -648,11 +557,11 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
 {
     if (!testing::kFaultInjection)
         GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
-    populateInterners();
     testing::resetFaults();
     const std::string path = tmpPath("inject");
     removeGenerations(path);
-    const analysis::SnapshotStats good = analysis::saveSnapshot(path);
+    const analysis::SnapshotStats good =
+        analysis::saveSnapshot(path, warm());
 
     struct Case {
         const char *site;
@@ -671,13 +580,13 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
     for (const Case &c : cases) {
         testing::resetFaults();
         testing::armFault(c.site, c.spec);
-        EXPECT_THROW(analysis::saveSnapshot(path),
+        EXPECT_THROW(analysis::saveSnapshot(path, warm()),
                      analysis::SnapshotError)
             << c.site;
         testing::resetFaults();
         // The failed save must not have torn what was there before...
         const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-        EXPECT_EQ(st.records, good.records) << c.site;
+        EXPECT_EQ(st.predictions, good.predictions) << c.site;
         // ...nor leaked its staging file.
         EXPECT_FALSE(fileExists(path + ".tmp." +
                                 std::to_string(::getpid())))
@@ -687,88 +596,41 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
     // Special case: a commit-rename failure AFTER rotation leaves the
     // primary name vacant — the generation walk must still recover
     // via .g1 (the image the rotation preserved).
-    analysis::saveSnapshot(path); // ensure .g1 exists
+    analysis::saveSnapshot(path, warm()); // ensure .g1 exists
     testing::armFault("snapshot.rename",
                       {.firstHit = testing::faultHits("snapshot.rename"),
                        .count = 1, .err = EACCES});
-    EXPECT_THROW(analysis::saveSnapshot(path), analysis::SnapshotError);
+    EXPECT_THROW(analysis::saveSnapshot(path, warm()),
+                 analysis::SnapshotError);
     testing::resetFaults();
     EXPECT_FALSE(fileExists(path)) << "rotation moved the primary away";
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.records, good.records);
+    EXPECT_EQ(st.predictions, good.predictions);
     removeGenerations(path);
 }
 
-// ---- the sectioned image: bind, corruption, poisoning ----------------------
+// ---- the image: layout and corruption ---------------------------------------
 
-/** Overwrite @p path with @p bytes. */
-void
-writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+TEST(SnapshotImage, HeaderTableAndTailCorruptionRejected)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (!bytes.empty()) {
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
-    }
-    std::fclose(f);
-}
-
-TEST(SnapshotV2, RoundTripLoadModes)
-{
-    populateInterners();
-    const std::uint64_t before = suiteDigest();
-    const std::string path = tmpPath("v2_roundtrip");
+    const std::string path = tmpPath("corrupt");
     removeGenerations(path);
-
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_GT(saved.records, 1000u);
-
-    // A file load binds lazily — no records parsed, none appended.
-    const auto binds = analysis::snapshotSourceStats().imagesBound;
-    const analysis::SnapshotStats bound = analysis::loadSnapshot(path);
-    EXPECT_EQ(bound.loadMode, analysis::SnapshotLoadMode::Bound);
-    EXPECT_EQ(bound.records, saved.records);
-    EXPECT_EQ(bound.fusedPairs, saved.fusedPairs);
-    EXPECT_EQ(bound.newRecords, 0u);
-    EXPECT_EQ(analysis::snapshotSourceStats().imagesBound, binds + 1);
-
-    // Wire images have no file behind them: parsed and committed.
-    const std::vector<std::uint8_t> img = slurpFile(path);
-    const analysis::SnapshotStats mem =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_EQ(mem.loadMode, analysis::SnapshotLoadMode::Parsed);
-    EXPECT_EQ(mem.records, saved.records);
-
-    // Every section payload starts on a page boundary.
-    for (const corpus::SectionEntry &e : v2Table(img))
-        EXPECT_EQ(e.offset % corpus::kSectionAlign, 0u)
-            << "section type " << e.type << " tag " << e.tag;
-
-    EXPECT_EQ(before, suiteDigest());
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
-{
-    populateInterners();
-    const std::string path = tmpPath("v2_corrupt");
-    removeGenerations(path);
-    analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path, warm());
     const std::vector<std::uint8_t> file = slurpFile(path);
-    ASSERT_GT(file.size(), 8192u);
+    const std::vector<corpus::SectionEntry> table = sectionTable(file);
+    ASSERT_EQ(table.size(), 1u);
+    // The predictions section follows the table directly.
+    EXPECT_EQ(table[0].offset, 64u + 64u);
+    EXPECT_EQ(table[0].offset + table[0].length, file.size());
 
-    // Truncations: header, table, first section, mid-image, last byte.
+    // Truncations: header, table, section, mid-image, last byte.
     for (std::size_t cut :
          {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          std::size_t{63}, std::size_t{4095}, file.size() / 2,
+          std::size_t{63}, std::size_t{127}, file.size() / 2,
           file.size() - 1}) {
-        std::vector<std::uint8_t> t(file.begin(),
-                                    file.begin() +
-                                        static_cast<std::ptrdiff_t>(cut));
-        writeFile(path, t);
-        EXPECT_THROW(analysis::loadSnapshot(path),
+        writeTorn(path, file, cut);
+        EXPECT_THROW(analysis::loadSnapshot(path, {.generations = 1}),
                      analysis::SnapshotError)
             << "truncated to " << cut;
     }
@@ -784,7 +646,7 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
         std::vector<std::uint8_t> bad = file;
         bad[off] ^= 0x01;
         writeFile(path, bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
+        EXPECT_THROW(analysis::loadSnapshot(path, {.generations = 1}),
                      analysis::SnapshotError)
             << "header flip at " << off;
         EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
@@ -793,14 +655,36 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
     }
 
     // Table damage is caught by the table hash wherever it lands.
-    const std::size_t tableBytes = v2Table(file).size() * 64;
-    for (std::size_t off = 64; off < 64 + tableBytes; off += 13) {
+    for (std::size_t off = 64; off < 128; off += 13) {
         std::vector<std::uint8_t> bad = file;
         bad[off] ^= 0x80;
         writeFile(path, bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
+        EXPECT_THROW(analysis::loadSnapshot(path, {.generations = 1}),
                      analysis::SnapshotError)
             << "table flip at " << off;
+    }
+
+    // Tail damage is caught by the section hash wherever it lands.
+    for (std::size_t off = table[0].offset; off < file.size();
+         off += 97) {
+        std::vector<std::uint8_t> bad = file;
+        bad[off] ^= 0x5a;
+        writeFile(path, bad);
+        EXPECT_THROW(analysis::loadSnapshot(path, {.generations = 1}),
+                     analysis::SnapshotError)
+            << "section flip at " << off;
+    }
+
+    // Sections of the retired types (version 2's instruction records
+    // and fused pairs) are rejected even under a valid hash.
+    for (std::uint32_t retired : {1u, 2u}) {
+        std::vector<std::uint8_t> bad = file;
+        std::vector<corpus::SectionEntry> t = table;
+        t[0].type = retired;
+        restamp(bad, t);
+        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                     analysis::SnapshotError)
+            << "section type " << retired;
     }
 
     // The pristine image still loads (the harness is not lossy).
@@ -809,225 +693,48 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, SectionBitFlipsEagerRejectLazyPoison)
+TEST(SnapshotImage, OldMagicAndVersionTwoGenerationsAreSkipped)
 {
-    populateInterners();
-    const std::string path = tmpPath("v2_flip");
-    removeGenerations(path);
-    analysis::saveSnapshot(path);
-    const std::vector<std::uint8_t> file = slurpFile(path);
-    const std::vector<corpus::SectionEntry> table = v2Table(file);
-
-    for (const corpus::SectionEntry &e : table) {
-        std::vector<std::uint8_t> bad = file;
-        bad[e.offset + e.length / 2] ^= 0x5a;
-
-        // The deep eager walk (validateSnapshot / snaptool verify /
-        // wire images) rejects a flip in ANY section.
-        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
-                     analysis::SnapshotError)
-            << "section type " << e.type << " tag " << e.tag;
-
-        writeFile(path, bad);
-        if (e.type == 1) {
-            // Records sections are verified lazily: the bind itself
-            // succeeds, the damaged section is poisoned on first
-            // touch (covered end-to-end by the fresh-process test
-            // below — here every key is already interned, so the
-            // source is never consulted).
-            const analysis::SnapshotStats st =
-                analysis::loadSnapshot(path);
-            EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound)
-                << "tag " << e.tag;
-        } else {
-            // Pairs/prediction tails are verified eagerly at load.
-            EXPECT_THROW(analysis::loadSnapshot(path),
-                         analysis::SnapshotError)
-                << "section type " << e.type << " tag " << e.tag;
-        }
-    }
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, PackedImageBindsLazily)
-{
-    populateInterners();
-    const std::string path = tmpPath("v2_packed");
-    removeGenerations(path);
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    const std::vector<std::uint8_t> file = slurpFile(path);
-    const std::vector<corpus::SectionEntry> table = v2Table(file);
-
-    // Repack the image with 8-byte instead of page-aligned sections
-    // (e.g. a foreign writer). Payload bytes are untouched, so the
-    // per-section hashes still hold; only the table offsets, file
-    // size, and the two header hashes change.
-    std::vector<corpus::SectionEntry> packed = table;
-    std::vector<std::uint8_t> img(
-        file.begin(),
-        file.begin() + 64 + static_cast<std::ptrdiff_t>(table.size() * 64));
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        img.resize(corpus::alignUp(img.size(), 8), 0);
-        packed[i].offset = img.size();
-        img.insert(img.end(),
-                   file.begin() +
-                       static_cast<std::ptrdiff_t>(table[i].offset),
-                   file.begin() + static_cast<std::ptrdiff_t>(
-                                      table[i].offset + table[i].length));
-    }
-    ASSERT_LT(img.size(), file.size()) << "padding actually removed";
-    restampHeader(img, packed);
-
-    writeFile(path, img);
-    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
-
-    // A fresh process warm-started from the packed image serves every
-    // record through the lazy views, bit-identically to a cold start.
-    ProbeResult cold, warm;
-    ASSERT_TRUE(runProbe("", cold));
-    ASSERT_TRUE(runProbe(path, warm));
-    EXPECT_EQ(cold.digest, warm.digest);
-    EXPECT_EQ(warm.sectionsVerified, uarch::allUArchs().size());
-    EXPECT_EQ(warm.sectionsPoisoned, 0u);
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, MmapFaultBindsHeapCopy)
-{
-    if (!testing::kFaultInjection)
-        GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
-    populateInterners();
-    testing::resetFaults();
-    const std::string path = tmpPath("v2_mmapfault");
-    removeGenerations(path);
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-
-    testing::armFault("snapshot.mmap",
-                      {.firstHit = testing::faultHits("snapshot.mmap"),
-                       .count = 1, .err = ENOMEM});
-    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    testing::resetFaults();
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound)
-        << "a failed mmap binds a heap copy, never degrades to an error";
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
-
-    // This process already interned every key, so the bound copy was
-    // never read above. A fresh process reads every record from it.
-    ProbeResult cold, warm;
-    ASSERT_TRUE(runProbe("", cold));
-    ASSERT_TRUE(runProbe(path, warm, "", /*mmapFault=*/true));
-    EXPECT_EQ(cold.digest, warm.digest);
-    EXPECT_EQ(warm.sectionsVerified, uarch::allUArchs().size());
-    EXPECT_EQ(warm.sectionsPoisoned, 0u);
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, OldMagicGenerationIsSkipped)
-{
-    populateInterners();
-    const std::string path = tmpPath("v2_oldmagic");
+    const std::string path = tmpPath("oldimages");
     removeGenerations(path);
 
-    // History: two saves (the first rotates to .g1), then the primary
-    // is replaced by an image carrying the retired "FACSNAP\n" magic.
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    analysis::saveSnapshot(path);
+    // History: three saves (primary, .g1, .g2). Then the primary is
+    // replaced by an image carrying the retired "FACSNAP\n" magic, and
+    // .g1 by a version-2 image (version 2's header, validly hashed).
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(path, warm());
+    analysis::saveSnapshot(path, warm());
+    analysis::saveSnapshot(path, warm());
     std::vector<std::uint8_t> old = slurpFile(path);
     std::memcpy(old.data(), "FACSNAP\n", 8);
     writeFile(path, old);
+    std::vector<std::uint8_t> v2 = slurpFile(path + ".g1");
+    const std::uint32_t two = 2;
+    std::memcpy(v2.data() + 8, &two, 4);
+    restamp(v2, sectionTable(v2));
+    writeFile(path + ".g1", v2);
+    try {
+        analysis::validateSnapshot(v2.data(), v2.size());
+        ADD_FAILURE() << "a version-2 image validated";
+    } catch (const analysis::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported version 2"),
+                  std::string::npos)
+            << e.what();
+    }
 
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Bound);
-    EXPECT_EQ(st.records, saved.records);
+    EXPECT_EQ(st.generation, 2u);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Parsed);
+    EXPECT_EQ(st.predictions, saved.predictions);
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, BitFlippedRecordsStayBitIdenticalInFreshProcess)
-{
-    // End-to-end poison property: a fresh process warm-started from a
-    // v2 image whose records section is silently damaged must still
-    // produce bit-identical predictions — the poisoned section falls
-    // back to cold analysis per lookup instead of serving garbage.
-    populateInterners();
-    const std::string snap = tmpPath("v2_poison");
-    removeGenerations(snap);
-    analysis::saveSnapshot(snap);
-    {
-        std::vector<std::uint8_t> img = slurpFile(snap);
-        const std::vector<corpus::SectionEntry> table = v2Table(img);
-        bool flipped = false;
-        for (const corpus::SectionEntry &e : table)
-            if (e.type == 1 && !flipped) {
-                img[e.offset + e.length / 2] ^= 0xff;
-                flipped = true;
-            }
-        ASSERT_TRUE(flipped);
-        writeFile(snap, img);
-    }
-
-    ProbeResult cold, warm;
-    ASSERT_TRUE(runProbe("", cold));
-    ASSERT_TRUE(runProbe(snap, warm));
-    EXPECT_EQ(cold.digest, warm.digest);
-    EXPECT_GT(warm.sectionsPoisoned, 0u);
-    removeGenerations(snap);
-}
-
-TEST(SnapshotV2, ResaveAfterBoundStartKeepsUniverse)
-{
-    // Regression: a process warm-started from a bound image serves
-    // records through the lazily bound RecordSource, which
-    // exportRecords cannot see — an immediate save used to persist
-    // only the (empty) canonical arenas, silently shrinking the
-    // snapshot to zero records. saveSnapshot must materialize the
-    // bound sources first, so save-after-mmap-start round-trips the
-    // whole universe. Only reproducible in a fresh child: this
-    // process's interners are already warm.
-    populateInterners();
-    const std::string snap = tmpPath("v2_resave_src");
-    const std::string resaved = tmpPath("v2_resave_dst");
-    removeGenerations(snap);
-    std::remove(resaved.c_str());
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(snap);
-
-    ProbeResult r;
-    ASSERT_TRUE(runProbe(snap, r, resaved))
-        << "child probe failed (load or resave assertions)";
-
-    // The child's resave carries the full universe, not just the
-    // records it happened to touch.
-    const std::vector<std::uint8_t> img = slurpFile(resaved);
-    const analysis::SnapshotModel m =
-        analysis::parseSnapshotModel(img.data(), img.size());
-    std::size_t records = 0, pairs = 0;
-    for (const analysis::SnapshotModel::Arch &a : m.arches) {
-        records += a.records.size();
-        pairs += a.fusedPairs.size();
-    }
-    EXPECT_EQ(records, saved.records);
-    EXPECT_EQ(pairs, saved.fusedPairs);
-    std::remove(resaved.c_str());
-    removeGenerations(snap);
-}
-
-TEST(SnapshotV2, RebuildIsByteIdentical)
+TEST(SnapshotImage, RebuildIsByteIdentical)
 {
     // The contract snaptool merge/compact rely on:
     // buildSnapshotImage(parseSnapshotModel(img)) == img, bit for bit —
     // with and without a prediction-cache section aboard.
-    populateInterners();
-    std::vector<engine::Request> batch;
-    for (const auto &b : snapshotSuite())
-        batch.push_back({b.bytesU, uarch::UArch::ICL, false, {}});
-    engine::PredictionEngine eng({.numThreads = 1});
-    eng.predictBatch(batch);
-
-    engine::PredictionEngine *const engines[] = {nullptr, &eng};
+    engine::PredictionEngine *const engines[] = {nullptr, &warmEngine()};
     for (engine::PredictionEngine *e : engines) {
         const std::vector<std::uint8_t> img =
             analysis::saveSnapshotToMemory({e});

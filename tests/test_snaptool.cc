@@ -17,9 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
-#include "bb/basic_block.h"
 #include "bhive/generator.h"
 #include "engine/engine.h"
 #include "uarch/config.h"
@@ -95,32 +93,27 @@ fileExists(const std::string &p)
     return f != nullptr;
 }
 
-/** Analyze a small suite so the interners have exportable content. */
-void
-populateInterners()
-{
-    static const bool done = [] {
-        const std::vector<bhive::Benchmark> suite =
-            bhive::generateSuite(0x700157001ULL, 4);
-        for (uarch::UArch arch : uarch::allUArchs())
-            for (const auto &b : suite) {
-                bb::analyze(b.bytesU, arch);
-                bb::analyze(b.bytesL, arch);
-            }
-        return true;
-    }();
-    (void)done;
-}
-
-/** Path of a saved snapshot (saved once per process). */
+/**
+ * Path of a saved snapshot (saved once per process): the prediction
+ * cache of an engine that predicted a small suite on every arch.
+ */
 std::string
 savedSnapshot()
 {
-    populateInterners();
     static std::string path;
     if (path.empty()) {
+        const std::vector<bhive::Benchmark> suite =
+            bhive::generateSuite(0x700157001ULL, 4);
+        std::vector<engine::Request> batch;
+        for (uarch::UArch arch : uarch::allUArchs())
+            for (const auto &b : suite) {
+                batch.push_back({b.bytesU, arch, false, {}});
+                batch.push_back({b.bytesL, arch, true, {}});
+            }
+        engine::PredictionEngine eng({.numThreads = 2});
+        eng.predictBatch(batch);
         path = tmpPath("fixture");
-        analysis::saveSnapshot(path, {.generations = 1});
+        analysis::saveSnapshot(path, {&eng, 1});
     }
     return path;
 }
@@ -130,6 +123,9 @@ TEST(Snaptool, UsageErrorsExitTwo)
     EXPECT_EQ(snaptool("").status, 2);
     EXPECT_EQ(snaptool("frobnicate x").status, 2);
     EXPECT_EQ(snaptool("merge missing-inputs").status, 2);
+    // compact has no --drop-predictions: predictions are all an image
+    // carries.
+    EXPECT_EQ(snaptool("compact x.bin --drop-predictions").status, 2);
     EXPECT_EQ(snaptool("help").status, 0);
 }
 
@@ -184,16 +180,16 @@ TEST(Snaptool, VerifyAndCorruption)
 
 TEST(Snaptool, DumpShowsLayout)
 {
-    const std::string v2 = savedSnapshot();
-    const RunResult r = snaptool("dump " + v2);
+    const std::string snap = savedSnapshot();
+    const RunResult r = snaptool("dump " + snap);
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_NE(r.out.find("format:      v2"), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("records"), std::string::npos);
-    EXPECT_NE(r.out.find("sections:"), std::string::npos);
-    // One records section per arch appears with its abbrev.
-    EXPECT_NE(r.out.find("SKL"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("format:      version 3"), std::string::npos)
+        << r.out;
+    EXPECT_NE(r.out.find("sections:    1"), std::string::npos) << r.out;
+    // The one predictions section appears in the table.
+    EXPECT_NE(r.out.find("  predictions"), std::string::npos) << r.out;
 
-    const RunResult hex = snaptool("dump --hex " + v2);
+    const RunResult hex = snaptool("dump --hex " + snap);
     EXPECT_EQ(hex.status, 0);
     EXPECT_NE(hex.out.find("header hex:"), std::string::npos);
 }
@@ -218,18 +214,18 @@ TEST(Snaptool, CanonicalRebuildIsBitIdentical)
 
 TEST(Snaptool, DryRunWritesNothing)
 {
-    const std::string v2 = savedSnapshot();
+    const std::string snap = savedSnapshot();
     const std::string out = tmpPath("dryrun_out");
     std::remove(out.c_str());
 
-    const RunResult r = snaptool("merge " + out + " " + v2 + " --dry-run");
+    const RunResult r = snaptool("merge " + out + " " + snap + " --dry-run");
     EXPECT_EQ(r.status, 0) << r.out;
     EXPECT_NE(r.out.find("would write"), std::string::npos) << r.out;
     EXPECT_FALSE(fileExists(out));
 
-    const std::vector<std::uint8_t> before = slurpFile(v2);
-    EXPECT_EQ(snaptool("compact " + v2 + " --dry-run").status, 0);
-    EXPECT_EQ(slurpFile(v2), before) << "in-place dry run mutated input";
+    const std::vector<std::uint8_t> before = slurpFile(snap);
+    EXPECT_EQ(snaptool("compact " + snap + " --dry-run").status, 0);
+    EXPECT_EQ(slurpFile(snap), before) << "in-place dry run mutated input";
 }
 
 /** Split the fixture into two overlapping-or-disjoint partial images. */
@@ -241,18 +237,19 @@ splitFixture(const std::string &outA, const std::string &outB,
     const std::vector<std::uint8_t> img = slurpFile(full);
     const analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
-    ASSERT_GE(m.arches.size(), 4u);
+    ASSERT_GE(m.predictions.size(), 40u);
 
-    const std::size_t mid = m.arches.size() / 2;
+    const std::size_t mid = m.predictions.size() / 2;
     analysis::SnapshotModel a, b;
-    for (std::size_t i = 0; i < m.arches.size(); ++i) {
+    a.hasPredictions = b.hasPredictions = true;
+    for (std::size_t i = 0; i < m.predictions.size(); ++i) {
         // With overlap, a band around the midpoint lands in both.
-        const bool inA = i < mid + (overlap ? 1 : 0);
-        const bool inB = i >= mid - (overlap ? 1 : 0);
+        const bool inA = i < mid + (overlap ? 10 : 0);
+        const bool inB = i >= mid - (overlap ? 10 : 0);
         if (inA)
-            a.arches.push_back(m.arches[i]);
+            a.predictions.push_back(m.predictions[i]);
         if (inB)
-            b.arches.push_back(m.arches[i]);
+            b.predictions.push_back(m.predictions[i]);
     }
     const std::vector<std::uint8_t> ia = analysis::buildSnapshotImage(a);
     const std::vector<std::uint8_t> ib = analysis::buildSnapshotImage(b);
@@ -278,7 +275,7 @@ TEST(Snaptool, MergeIsACommutativeUnion)
         EXPECT_EQ(snaptool("verify " + ab).status, 0);
 
         // And logically identical to the full fixture it was split
-        // from (the split covered every arch).
+        // from (the split covered every entry).
         EXPECT_EQ(
             snaptool("diff " + ab + " " + savedSnapshot()).status,
             0)
@@ -295,10 +292,13 @@ TEST(Snaptool, MergeRejectsContentConflicts)
     const std::vector<std::uint8_t> img = slurpFile(full);
     analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
-    ASSERT_FALSE(m.arches.empty());
-    ASSERT_FALSE(m.arches[0].records.empty());
-    // Same key, different analysis: a content conflict.
-    m.arches[0].records[0].second.info.latency += 1;
+    ASSERT_GE(m.predictions.size(), 2u);
+    // Same key, a different (valid) prediction: a content conflict.
+    std::vector<std::uint8_t> &payload0 = m.predictions[0].second;
+    std::size_t other = 1;
+    while (m.predictions[other].second == payload0)
+        ++other;
+    payload0 = m.predictions[other].second;
     const std::string forged = tmpPath("merge_forged");
     writeFile(forged, analysis::buildSnapshotImage(m));
 
@@ -324,41 +324,6 @@ TEST(Snaptool, DiffReportsDirectionalDifferences)
     EXPECT_NE(r.out.find("only in A"), std::string::npos) << r.out;
     std::remove(a.c_str());
     std::remove(b.c_str());
-}
-
-TEST(Snaptool, CompactDropsPredictionsAndStaysLoadable)
-{
-    populateInterners();
-    // A snapshot with a prediction cache aboard.
-    const std::vector<bhive::Benchmark> suite =
-        bhive::generateSuite(0x700157001ULL, 4);
-    std::vector<engine::Request> batch;
-    for (const auto &bm : suite)
-        batch.push_back({bm.bytesL, uarch::UArch::SKL, true, {}});
-    engine::PredictionEngine::Options eopts;
-    eopts.numThreads = 2;
-    engine::PredictionEngine eng(eopts);
-    eng.predictBatch(batch);
-
-    const std::string snap = tmpPath("compact_full");
-    const analysis::SnapshotStats saved =
-        analysis::saveSnapshot(snap, {&eng});
-    ASSERT_GT(saved.predictions, 0u);
-
-    const std::string lean = tmpPath("compact_lean");
-    const RunResult r = snaptool("compact " + snap +
-                                 " --drop-predictions --out " + lean);
-    EXPECT_EQ(r.status, 0) << r.out;
-
-    const std::vector<std::uint8_t> img = slurpFile(lean);
-    const analysis::SnapshotStats st =
-        analysis::validateSnapshot(img.data(), img.size());
-    EXPECT_EQ(st.predictions, 0u);
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_LT(img.size(), slurpFile(snap).size());
-
-    std::remove(snap.c_str());
-    std::remove(lean.c_str());
 }
 
 TEST(SnaptoolCleanup, RemoveFixtures)
