@@ -49,7 +49,7 @@ main()
             for (int idx : p.criticalChain)
                 why += " [" +
                        toString(blk.insts[static_cast<std::size_t>(idx)]
-                                    .dec->inst) +
+                                    .dec.inst) +
                        "]";
         } else if (p.primaryBottleneck == model::Component::Ports) {
             why = "contention on " + uarch::portMaskName(p.contendedPorts) +

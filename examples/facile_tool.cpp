@@ -120,7 +120,7 @@ main(int argc, char **argv)
                 blk.lengthBytes(), blk.insts.size(), blk.fusedUops());
     for (const auto &ai : blk.insts)
         std::printf("  %3d: %-40s %s\n", ai.start,
-                    isa::toString(ai.dec->inst).c_str(),
+                    isa::toString(ai.dec.inst).c_str(),
                     ai.fusedWithPrev ? "; macro-fused" : "");
 
     std::printf("\nPredicted throughput: %.2f cycles/iteration\n\n",
@@ -144,7 +144,7 @@ main(int argc, char **argv)
             std::printf("  %s\n",
                         isa::toString(
                             blk.insts[static_cast<std::size_t>(idx)]
-                                .dec->inst)
+                                .dec.inst)
                             .c_str());
     }
     if (p.primaryBottleneck == model::Component::Ports) {

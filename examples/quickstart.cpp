@@ -37,7 +37,7 @@ main()
                 blk.insts.size());
     for (const auto &ai : blk.insts)
         std::printf("  %2d: %s%s\n", ai.start,
-                    toString(ai.dec->inst).c_str(),
+                    toString(ai.dec.inst).c_str(),
                     ai.fusedWithPrev ? "   ; macro-fused with previous"
                                      : "");
 

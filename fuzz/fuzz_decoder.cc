@@ -32,12 +32,11 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     try {
         bb::BasicBlock blk = bb::analyze(std::move(bytes), arch);
         // Structural invariants every predictor downstream relies on:
-        // annotations present, byte layout contiguous and in bounds.
+        // byte layout contiguous, in bounds and matching each decoded
+        // length.
         int prevEnd = 0;
         for (const auto &ai : blk.insts) {
-            if (ai.dec == nullptr || ai.info == nullptr)
-                __builtin_trap();
-            if (ai.start != prevEnd || ai.end <= ai.start ||
+            if (ai.start != prevEnd || ai.end - ai.start != ai.dec.length ||
                 ai.end > static_cast<int>(n))
                 __builtin_trap();
             prevEnd = ai.end;

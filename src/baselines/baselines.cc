@@ -71,7 +71,7 @@ unfusedUops(const bb::BasicBlock &blk)
     for (const auto &ai : blk.insts) {
         if (ai.fusedWithPrev)
             continue;
-        n += std::max<std::size_t>(1, ai.info->portUops.size());
+        n += std::max<std::size_t>(1, ai.info.portUops.size());
     }
     return n;
 }
@@ -89,9 +89,9 @@ greedyPortBound(const bb::BasicBlock &blk, bool respectElimination)
     for (const auto &ai : blk.insts) {
         if (ai.fusedWithPrev)
             continue;
-        if (respectElimination && ai.info->eliminated)
+        if (respectElimination && ai.info.eliminated)
             continue;
-        for (const auto &u : ai.info->portUops) {
+        for (const auto &u : ai.info.portUops) {
             if (!u.ports)
                 continue;
             int best = -1;

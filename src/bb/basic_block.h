@@ -9,45 +9,46 @@
  * following conditional branch into a single unit for everything
  * downstream of the instruction queue.
  *
- * Analysis is stateless: every instruction is decoded and looked up
- * afresh into annotations the block owns, and nothing outlives the
- * block. A never-seen block costs about 41 allocations (decode,
- * µop info, the annotation vectors; tests/test_retention.cc prints the
- * count) and leaves no memory behind once it is destroyed.
+ * Analysis is stateless: every instruction is decoded, looked up and
+ * given its read/write sets afresh, by value, in the block's one
+ * instruction array, and nothing outlives the block. Operands, port
+ * µops and the sets are held inline, so analyzing a never-seen block
+ * allocates at most twice — the bytes it takes by value and the
+ * instruction array — and leaves no memory behind once the block is
+ * destroyed (tests/test_retention.cc gates both).
  */
 #ifndef FACILE_BB_BASIC_BLOCK_H
 #define FACILE_BB_BASIC_BLOCK_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "isa/decoder.h"
+#include "isa/semantics.h"
 #include "uarch/config.h"
 #include "uops/info.h"
 
 namespace facile::bb {
 
-/** What analysis derives for one instruction on one µarch. */
-struct InstAnnotation
-{
-    isa::DecodedInst dec;
-    uops::InstrInfo info;
-};
-
 /** One instruction with layout and microarchitectural annotations. */
 struct AnnotatedInst
 {
     /** Decoded form plus byte-layout facts. */
-    const isa::DecodedInst *dec = nullptr;
+    isa::DecodedInst dec;
 
     /**
-     * Characteristics of the instruction on the block's µarch. Points
-     * into the block's annotations. Never null on an analyzed block;
-     * immutable through this pointer — use BasicBlock::mutableInfo to
-     * change a copy.
+     * Characteristics of the instruction on the block's µarch, after
+     * macro-fusion pairing. Change it through BasicBlock::mutableInfo,
+     * which keeps the block's µop totals in step.
      */
-    const uops::InstrInfo *info = nullptr;
+    uops::InstrInfo info;
+
+    /**
+     * Values the instruction reads and writes (isa::instRw of
+     * dec.inst). Precedence and the simulator read these instead of
+     * recomputing them on every prediction.
+     */
+    isa::RwSets rw;
 
     /** Byte offset of the instruction within the block. */
     int start = 0;
@@ -74,57 +75,42 @@ struct BasicBlock
     uarch::UArch arch;
 
     /**
-     * The annotations insts[i].dec / .info point into, one per
-     * instruction in order. shared_ptr so copied blocks keep their
-     * pointers valid: copies share the storage until one of them calls
-     * mutableInfo.
+     * Block-level facts analyze() computes once, so the DSB / LSD /
+     * Issue components and TPL prediction don't rescan the
+     * instructions on every predict. All zero for an empty block.
      */
-    std::shared_ptr<std::vector<InstAnnotation>> annotations;
-
-    /**
-     * Block-level µop totals, precomputed by analyze() so the DSB /
-     * LSD / Issue components don't re-sum the annotations on every
-     * predict. -1 = not cached (hand-built blocks, or after
-     * mutableInfo) — the accessors then fall back to summing.
-     */
-    int cachedFusedUops = -1;
-    int cachedIssueUops = -1;
-
-    /**
-     * Precomputed touchesJccErratumBoundary() (layout-only, so never
-     * invalidated by mutableInfo). -1 = not cached (hand-built blocks)
-     * — the accessor then falls back to scanning the instructions.
-     */
-    std::int8_t cachedJccTouch = -1;
+    int totalFusedUops = 0;
+    int totalIssueUops = 0;
+    bool jccErratumTouch = false;
 
     int lengthBytes() const { return static_cast<int>(bytes.size()); }
 
     bool
     endsInBranch() const
     {
-        return !insts.empty() && insts.back().dec->inst.isBranch();
+        return !insts.empty() && insts.back().dec.inst.isBranch();
     }
 
     /** Fused-domain µops at decode (DSB/LSD counting, paper 4.5/4.6). */
-    int fusedUops() const;
+    int fusedUops() const { return totalFusedUops; }
 
     /** Fused-domain µops after unlamination (Issue counting, paper 4.7). */
-    int issueUops() const;
+    int issueUops() const { return totalIssueUops; }
 
     /**
      * True if a branch instruction (or a macro-fused pair ending in one)
      * crosses or ends on a 32-byte boundary, assuming the block is placed
      * at a 32-byte-aligned address — the JCC-erratum trigger condition.
      */
-    bool touchesJccErratumBoundary() const;
+    bool touchesJccErratumBoundary() const { return jccErratumTouch; }
 
     /**
-     * Copy-on-write escape hatch for consumers that must perturb an
-     * annotation (e.g. the CQA-like baseline's latency clamp): unless
-     * this block is the only owner of its annotations, copies them
-     * first and repoints insts at the copy, then returns instruction
-     * @p i's info mutable. Blocks sharing the original storage never
-     * see the change.
+     * Instruction @p i's info, for consumers that perturb an annotation
+     * (the CQA-like baseline's latency clamp). Copy the block first to
+     * keep the original: a block owns its instructions by value. The
+     * µop totals are re-summed on every call, so counts edited through
+     * one call's reference are in fusedUops() / issueUops() once the
+     * next call returns.
      */
     uops::InstrInfo &mutableInfo(std::size_t i);
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -13,31 +15,113 @@ namespace facile::engine {
 
 namespace {
 
-/** Prediction-cache key: notion + payload depth + config + arch + bytes. */
-std::string
-predictionKey(const Request &r)
+/**
+ * A prediction-cache key is a 4-byte header — notion and payload
+ * depth, the two config bytes, the arch — followed by the block bytes.
+ * Entries store it as a std::string of exactly those bytes, which
+ * snapshots export as is. A lookup probes with a KeyProbe over the
+ * request's own bytes instead, so a hit builds no key.
+ */
+constexpr std::size_t kKeyHeader = 4;
+
+struct KeyProbe
+{
+    char header[kKeyHeader];
+    std::string_view bytes;
+    std::size_t hash;
+};
+
+/** The hash of a key given as its header word and its block bytes. */
+std::size_t
+keyHash(std::uint32_t header, std::string_view bytes)
+{
+    std::size_t h = std::hash<std::string_view>{}(bytes);
+    h ^= (header + 0x9e3779b97f4a7c15ULL) * 0xbf58476d1ce4e5b9ULL;
+    return h ^ (h >> 31);
+}
+
+std::size_t
+keyHash(std::string_view key)
+{
+    std::uint32_t header = 0;
+    const std::size_t n = std::min(kKeyHeader, key.size());
+    std::memcpy(&header, key.data(), n);
+    return keyHash(header, key.substr(n));
+}
+
+KeyProbe
+probeOf(const Request &r)
 {
     const std::uint16_t cfg = r.config.packBits();
+    KeyProbe k;
+    k.header[0] = static_cast<char>(
+        (r.loop ? 1 : 0) | (r.payload == model::Payload::Full ? 2 : 0));
+    k.header[1] = static_cast<char>(cfg & 0xff);
+    k.header[2] = static_cast<char>(cfg >> 8);
+    k.header[3] = static_cast<char>(r.arch);
+    k.bytes = std::string_view(
+        reinterpret_cast<const char *>(r.bytes.data()), r.bytes.size());
+    std::uint32_t header = 0;
+    std::memcpy(&header, k.header, kKeyHeader);
+    k.hash = keyHash(header, k.bytes);
+    return k;
+}
+
+/** The owned key a probe stands for, built only to insert an entry. */
+std::string
+ownedKey(const KeyProbe &k)
+{
     std::string key;
-    key.reserve(r.bytes.size() + 4);
-    key.push_back(static_cast<char>(
-        (r.loop ? 1 : 0) |
-        (r.payload == model::Payload::Full ? 2 : 0)));
-    key.push_back(static_cast<char>(cfg & 0xff));
-    key.push_back(static_cast<char>(cfg >> 8));
-    key.push_back(static_cast<char>(r.arch));
-    if (!r.bytes.empty())
-        key.append(reinterpret_cast<const char *>(r.bytes.data()),
-                   r.bytes.size());
+    key.reserve(kKeyHeader + k.bytes.size());
+    key.append(k.header, kKeyHeader);
+    key.append(k.bytes);
     return key;
 }
 
+/**
+ * Transparent hash and equality: stored std::string keys and KeyProbes
+ * hash and compare alike. The string overload is not noexcept, so the
+ * tables keep each node's hash and compare it before the bytes.
+ */
+struct KeyHash
+{
+    using is_transparent = void;
+    std::size_t operator()(const std::string &k) const { return keyHash(k); }
+    std::size_t operator()(const KeyProbe &k) const { return k.hash; }
+};
+
+struct KeyEq
+{
+    using is_transparent = void;
+
+    bool
+    operator()(const std::string &a, const std::string &b) const
+    {
+        return a == b;
+    }
+
+    bool
+    operator()(const KeyProbe &p, const std::string &k) const
+    {
+        return k.size() == kKeyHeader + p.bytes.size() &&
+               std::memcmp(k.data(), p.header, kKeyHeader) == 0 &&
+               k.compare(kKeyHeader, std::string::npos, p.bytes) == 0;
+    }
+
+    bool
+    operator()(const std::string &k, const KeyProbe &p) const
+    {
+        return (*this)(p, k);
+    }
+};
+
 constexpr std::size_t kShards = 16;
 
+/** The shard of a key: four high bits of its hash. */
 std::size_t
-shardOf(const std::string &key)
+shardOf(std::size_t hash)
 {
-    return std::hash<std::string>{}(key) % kShards;
+    return (hash >> 56) % kShards;
 }
 
 } // namespace
@@ -56,12 +140,20 @@ shardOf(const std::string &key)
  */
 struct PredictionShard
 {
-    std::mutex mu;
-    std::unordered_map<std::string, model::Prediction> newGen, oldGen;
+    using Map =
+        std::unordered_map<std::string, model::Prediction, KeyHash, KeyEq>;
 
-    /** Lookup with promotion; caller must hold mu. */
+    std::mutex mu;
+    Map newGen, oldGen;
+
+    /**
+     * Lookup with promotion; caller must hold mu. @p key is a KeyProbe
+     * or a stored key. A promoted entry moves its node, so neither its
+     * key nor its prediction is rebuilt.
+     */
+    template <typename Key>
     model::Prediction *
-    find(const std::string &key, std::size_t maxPerGen)
+    find(const Key &key, std::size_t maxPerGen)
     {
         auto it = newGen.find(key);
         if (it != newGen.end())
@@ -69,9 +161,9 @@ struct PredictionShard
         auto itOld = oldGen.find(key);
         if (itOld == oldGen.end())
             return nullptr;
-        model::Prediction value = std::move(itOld->second);
-        oldGen.erase(itOld);
-        return &insert(key, std::move(value), maxPerGen);
+        Map::node_type node = oldGen.extract(itOld);
+        makeRoom(maxPerGen);
+        return &newGen.insert(std::move(node)).position->second;
     }
 
     /**
@@ -82,10 +174,7 @@ struct PredictionShard
     model::Prediction &
     insert(std::string key, model::Prediction value, std::size_t maxPerGen)
     {
-        if (newGen.size() >= maxPerGen) {
-            std::swap(oldGen, newGen);
-            newGen.clear();
-        }
+        makeRoom(maxPerGen);
         return newGen.emplace(std::move(key), std::move(value))
             .first->second;
     }
@@ -95,6 +184,17 @@ struct PredictionShard
     {
         newGen.clear();
         oldGen.clear();
+    }
+
+  private:
+    /** Age the new generation into the old one when it is full. */
+    void
+    makeRoom(std::size_t maxPerGen)
+    {
+        if (newGen.size() >= maxPerGen) {
+            std::swap(oldGen, newGen);
+            newGen.clear();
+        }
     }
 };
 
@@ -124,12 +224,12 @@ struct PredictionEngine::Impl
                        std::size_t index,
                        const PredictionEngine::PredictionVisitor &visit)
     {
-        std::string key;
+        KeyProbe probe{};
         if (opts.cacheEnabled) {
-            key = predictionKey(req);
-            PredictionShard &shard = predictionShards[shardOf(key)];
+            probe = probeOf(req);
+            PredictionShard &shard = predictionShards[shardOf(probe.hash)];
             std::lock_guard<std::mutex> lock(shard.mu);
-            if (auto *hit = shard.find(key, opts.maxEntriesPerShard)) {
+            if (auto *hit = shard.find(probe, opts.maxEntriesPerShard)) {
                 if (stats)
                     ++stats->predictionCacheHits;
                 visit(lane, index, *hit);
@@ -151,12 +251,12 @@ struct PredictionEngine::Impl
         }
 
         if (opts.cacheEnabled) {
-            PredictionShard &shard = predictionShards[shardOf(key)];
+            PredictionShard &shard = predictionShards[shardOf(probe.hash)];
             std::lock_guard<std::mutex> lock(shard.mu);
             // A concurrent miss on the same key may have inserted an
             // identical prediction already; find() keeps it hot.
-            if (!shard.find(key, opts.maxEntriesPerShard))
-                shard.insert(std::move(key), p, opts.maxEntriesPerShard);
+            if (!shard.find(probe, opts.maxEntriesPerShard))
+                shard.insert(ownedKey(probe), p, opts.maxEntriesPerShard);
         }
         visit(lane, index, p);
     }
@@ -207,23 +307,33 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
     if (batch.empty())
         return;
 
-    std::atomic<std::size_t> predictionHits{0}, analyzed{0};
+    // The body captures one pointer, which std::function holds inline,
+    // so dispatching a batch allocates nothing by itself.
+    struct Call
+    {
+        Impl &impl;
+        const std::vector<Request> &batch;
+        const PredictionVisitor &visit;
+        const bool counting;
+        std::atomic<std::size_t> predictionHits{0}, analyzed{0};
+    } call{*impl_, batch, visit, stats != nullptr};
 
     impl_->pool.parallelForWorker(
-        batch.size(), [&](int lane, std::size_t i) {
+        batch.size(), [c = &call](int lane, std::size_t i) {
             BatchStats local;
-            impl_->predictCachedVisit(batch[i], stats ? &local : nullptr,
-                                      lane, i, visit);
-            if (stats) {
-                predictionHits += local.predictionCacheHits;
-                analyzed += local.analyzed;
+            c->impl.predictCachedVisit(c->batch[i],
+                                       c->counting ? &local : nullptr, lane,
+                                       i, c->visit);
+            if (c->counting) {
+                c->predictionHits += local.predictionCacheHits;
+                c->analyzed += local.analyzed;
             }
         });
 
     if (stats) {
         stats->requests += batch.size();
-        stats->predictionCacheHits += predictionHits;
-        stats->analyzed += analyzed;
+        stats->predictionCacheHits += call.predictionHits;
+        stats->analyzed += call.analyzed;
     }
 }
 
@@ -283,7 +393,7 @@ void
 PredictionEngine::importPredictionCacheEntry(std::string key,
                                              model::Prediction pred)
 {
-    PredictionShard &shard = impl_->predictionShards[shardOf(key)];
+    PredictionShard &shard = impl_->predictionShards[shardOf(keyHash(key))];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!shard.find(key, impl_->opts.maxEntriesPerShard))
         shard.insert(std::move(key), std::move(pred),

@@ -19,9 +19,9 @@
  *     outlives the request;
  *   - each lane uses its thread's model::tlsPredictScratch() (see
  *     facile/component.h), so the component pipeline reuses its
- *     buffers. A hit still allocates its cache key (about 0.8
- *     allocations per request); a never-seen block costs about 43
- *     allocations (tests/test_retention.cc prints the count);
+ *     buffers. A hit allocates nothing; a miss allocates the block's
+ *     two buffers, its owned cache key and the cache node
+ *     (tests/test_retention.cc gates these counts);
  *   - requests default to Payload::None: the serving path computes
  *     bounds and bottleneck classification but skips the
  *     interpretability payload unless a request asks for it.

@@ -157,9 +157,9 @@ class PortsComponent final : public ComponentPredictor
         // annotations, no combination search.
         int uops = 0;
         for (const auto &ai : ctx.blk.insts) {
-            if (ai.fusedWithPrev || ai.info->eliminated)
+            if (ai.fusedWithPrev || ai.info.eliminated)
                 continue;
-            for (const auto &u : ai.info->portUops)
+            for (const auto &u : ai.info.portUops)
                 if (u.ports)
                     ++uops;
         }

@@ -40,9 +40,9 @@ dec(const bb::BasicBlock &blk, DecScratch &s)
                 units.back().branch = true;
             continue;
         }
-        units.push_back({ai.info->needsComplexDecoder,
-                         ai.info->nAvailableSimpleDecoders,
-                         ai.info->macroFusible, ai.dec->inst.isBranch()});
+        units.push_back({ai.info.needsComplexDecoder,
+                         ai.info.nAvailableSimpleDecoders,
+                         ai.info.macroFusible, ai.dec.inst.isBranch()});
     }
     if (units.empty())
         return 0.0;
@@ -112,7 +112,7 @@ simpleDec(const bb::BasicBlock &blk)
         if (ai.fusedWithPrev)
             continue;
         ++n;
-        if (ai.info->needsComplexDecoder)
+        if (ai.info.needsComplexDecoder)
             ++c;
     }
     return std::max(static_cast<double>(n) / cfg.nDecoders,

@@ -26,9 +26,9 @@ collectUopMasks(const bb::BasicBlock &blk,
     uops.clear();
     for (std::size_t i = 0; i < blk.insts.size(); ++i) {
         const auto &ai = blk.insts[i];
-        if (ai.fusedWithPrev || ai.info->eliminated)
+        if (ai.fusedWithPrev || ai.info.eliminated)
             continue;
-        for (const auto &u : ai.info->portUops)
+        for (const auto &u : ai.info.portUops)
             if (u.ports)
                 uops.emplace_back(u.ports, static_cast<int>(i));
     }

@@ -583,15 +583,12 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
     s.nodeValue.clear();
     s.edges.clear();
     s.edges.reserve(blk.insts.size() * 4);
-    if (s.rw.size() < blk.insts.size())
-        s.rw.resize(blk.insts.size());
 
     std::array<int, isa::kNumValues> lastWriterEnd;
     lastWriterEnd.fill(-1);
 
     for (std::size_t i = 0; i < blk.insts.size(); ++i) {
-        isa::instRw(blk.insts[i].dec->inst, s.rw[i]);
-        for (int v : s.rw[i].writes) {
+        for (int v : blk.insts[i].rw.writes) {
             lastWriterEnd[v] = static_cast<int>(s.nodeInst.size());
             s.nodeInst.push_back(static_cast<int>(i));
             s.nodeValue.push_back(v);
@@ -604,14 +601,14 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
     int nodeCursor = 0;
     for (std::size_t i = 0; i < blk.insts.size(); ++i) {
         const auto &ai = blk.insts[i];
-        const isa::RwSets &sets = s.rw[i];
+        const isa::RwSets &sets = ai.rw;
         const int firstWriteNode = nodeCursor;
         const int nWrites = static_cast<int>(sets.writes.size());
 
         if (!sets.depBreaking && nWrites > 0) {
             // Determine which reads are address registers of a load.
-            const isa::MemOp *m = ai.dec->inst.memOperand();
-            const bool loads = ai.dec->inst.isLoad();
+            const isa::MemOp *m = ai.dec.inst.memOperand();
+            const bool loads = ai.dec.inst.isLoad();
             auto isAddrReg = [&](int v) {
                 if (!m || !loads)
                     return false;
@@ -619,10 +616,10 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
                        (m->index.valid() && m->index.family() == v);
             };
             const bool stackOp =
-                ai.dec->inst.mnem == isa::Mnemonic::PUSH ||
-                ai.dec->inst.mnem == isa::Mnemonic::POP ||
-                ai.dec->inst.mnem == isa::Mnemonic::CALL ||
-                ai.dec->inst.mnem == isa::Mnemonic::RET;
+                ai.dec.inst.mnem == isa::Mnemonic::PUSH ||
+                ai.dec.inst.mnem == isa::Mnemonic::POP ||
+                ai.dec.inst.mnem == isa::Mnemonic::CALL ||
+                ai.dec.inst.mnem == isa::Mnemonic::RET;
 
             int selfCarried = 0;
             for (int r : sets.reads) {
@@ -640,7 +637,7 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
                     else if (stackOp && ++selfCarried > 1)
                         g.selfCarriedOnly = false;
                 }
-                double lat = static_cast<double>(ai.info->latency);
+                double lat = static_cast<double>(ai.info.latency);
                 if (isAddrReg(r))
                     lat += cfg.loadLatency;
                 for (int w = 0; w < nWrites; ++w) {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bb/basic_block.h"
-#include "isa/semantics.h"
 
 namespace facile::model {
 
@@ -123,7 +122,6 @@ struct CycleRatioResult
 struct PrecedenceScratch
 {
     // Dependence-graph construction.
-    std::vector<isa::RwSets> rw; ///< per-instruction read/write sets
     std::vector<int> nodeInst;
     std::vector<int> nodeValue;
     EdgeArrays edges;

@@ -55,7 +55,7 @@ predec(const bb::BasicBlock &blk, bool unrolled, PredecScratch &s)
             ++L[bLast];
             if (bOpc != bLast)
                 ++O[bOpc];
-            if (ai.dec->lcp)
+            if (ai.dec.lcp)
                 ++LCP[bOpc];
         }
     }

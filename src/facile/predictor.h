@@ -27,6 +27,7 @@
 #include "bb/basic_block.h"
 #include "facile/ports.h"
 #include "facile/precedence.h"
+#include "support/inline_vec.h"
 
 namespace facile::model {
 
@@ -44,6 +45,10 @@ enum class Component : int {
 
 inline constexpr int kNumComponents =
     static_cast<int>(Component::kNumComponents);
+
+/** A list of components, at most one entry per component. */
+using ComponentList =
+    support::InlineVec<Component, static_cast<std::size_t>(kNumComponents)>;
 
 /**
  * Short component name ("Predec", "Dec", ...). The view refers to
@@ -120,7 +125,7 @@ struct Prediction
     std::array<double, kNumComponents> componentValue;
 
     /** Components whose bound equals the predicted throughput. */
-    std::vector<Component> bottlenecks;
+    ComponentList bottlenecks;
 
     /**
      * The single bottleneck under the paper's front-end-first tie-break

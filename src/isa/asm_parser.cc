@@ -255,7 +255,7 @@ parseInst(const std::string &rawLine)
     }
 
     // Split operands on top-level commas (none appear inside [ ]).
-    std::vector<Operand> ops;
+    Operands ops;
     int widthHint = 0;
     if (!rest.empty()) {
         std::stringstream ss(rest);
@@ -263,6 +263,9 @@ parseInst(const std::string &rawLine)
         std::vector<std::string> toks;
         while (std::getline(ss, tok, ','))
             toks.push_back(tok);
+        if (toks.size() > kMaxOperands)
+            throw ParseError("more than " + std::to_string(kMaxOperands) +
+                             " operands: " + rest);
         // First pass register tokens establish the width hint for
         // immediates and un-annotated memory operands.
         for (const auto &t : toks) {
@@ -277,7 +280,7 @@ parseInst(const std::string &rawLine)
             ops.push_back(parseOperand(t, widthHint));
     }
 
-    Inst inst(mnem, cc, std::move(ops));
+    Inst inst(mnem, cc, ops);
 
     // Instructions whose immediate is architecturally always imm8.
     switch (inst.mnem) {

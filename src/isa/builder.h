@@ -71,18 +71,24 @@ memIdx(Reg base, Reg index, int scale = 1, std::int32_t disp = 0,
     return m;
 }
 
-/** Generic instruction builder. */
+/**
+ * Generic instruction builder.
+ * @throws std::length_error for more than kMaxOperands operands.
+ */
 inline Inst
-make(Mnemonic m, std::vector<Operand> ops = {})
+make(Mnemonic m, Operands ops = {})
 {
-    return Inst(m, std::move(ops));
+    return Inst(m, ops);
 }
 
-/** Conditional instruction builder (JCC / SETCC / CMOVCC). */
+/**
+ * Conditional instruction builder (JCC / SETCC / CMOVCC).
+ * @throws std::length_error for more than kMaxOperands operands.
+ */
 inline Inst
-makeCC(Mnemonic m, Cond cc, std::vector<Operand> ops = {})
+makeCC(Mnemonic m, Cond cc, Operands ops = {})
 {
-    return Inst(m, cc, std::move(ops));
+    return Inst(m, cc, ops);
 }
 
 /** NOP of a specific encoded length (1..15 bytes). */

@@ -202,11 +202,11 @@ class InstDecoder
     }
 
     void
-    set(Mnemonic m, std::vector<Operand> ops, Cond cc = Cond::None)
+    set(Mnemonic m, Operands ops, Cond cc = Cond::None)
     {
         out_.inst.mnem = m;
         out_.inst.cc = cc;
-        out_.inst.ops = std::move(ops);
+        out_.inst.ops = ops;
     }
 
     /** Record an immediate operand with proper width bookkeeping. */

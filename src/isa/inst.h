@@ -6,11 +6,12 @@
 #ifndef FACILE_ISA_INST_H
 #define FACILE_ISA_INST_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "isa/regs.h"
+#include "support/inline_vec.h"
 
 namespace facile::isa {
 
@@ -114,21 +115,29 @@ struct Operand
     bool operator==(const Operand &o) const = default;
 };
 
+/**
+ * Most operands of any supported instruction: the VEX three-operand
+ * forms and IMUL r, r/m, imm.
+ */
+inline constexpr std::size_t kMaxOperands = 3;
+
+/** An instruction's operands, held inline. */
+using Operands = support::InlineVec<Operand, kMaxOperands>;
+
 /** A decoded or constructed instruction. */
 struct Inst
 {
     Mnemonic mnem = Mnemonic::NOP;
     Cond cc = Cond::None;  ///< for JCC / SETCC / CMOVCC
-    std::vector<Operand> ops;
+    Operands ops;
 
     /** Explicit NOP length request (1..15); encoder pads accordingly. */
     std::uint8_t nopLen = 1;
 
     Inst() = default;
-    Inst(Mnemonic m, std::vector<Operand> o) : mnem(m), ops(std::move(o)) {}
-    Inst(Mnemonic m, Cond c, std::vector<Operand> o)
-        : mnem(m), cc(c), ops(std::move(o))
-    {}
+    /** @throws std::length_error for more than kMaxOperands operands. */
+    Inst(Mnemonic m, Operands o) : mnem(m), ops(o) {}
+    Inst(Mnemonic m, Cond c, Operands o) : mnem(m), cc(c), ops(o) {}
 
     bool isBranch() const
     {

@@ -8,20 +8,20 @@ namespace {
 
 /** Flag values read by a condition code. */
 void
-condReads(Cond cc, std::vector<int> &reads)
+condReads(Cond cc, ValueSet &reads)
 {
     switch (cc) {
       case Cond::B:
       case Cond::NB:
-        reads.push_back(kValCf);
+        reads.insert(kValCf);
         break;
       case Cond::BE:
       case Cond::NBE:
-        reads.push_back(kValCf);
-        reads.push_back(kValFlags);
+        reads.insert(kValCf);
+        reads.insert(kValFlags);
         break;
       default:
-        reads.push_back(kValFlags);
+        reads.insert(kValFlags);
         break;
     }
 }
@@ -35,19 +35,19 @@ struct Collector
     read(Reg r)
     {
         if (r.valid())
-            rw.reads.push_back(valueOf(r));
+            rw.reads.insert(valueOf(r));
     }
 
-    void readVal(int v) { rw.reads.push_back(v); }
+    void readVal(int v) { rw.reads.insert(v); }
 
     void
     write(Reg r)
     {
         if (r.valid())
-            rw.writes.push_back(valueOf(r));
+            rw.writes.insert(valueOf(r));
     }
 
-    void writeVal(int v) { rw.writes.push_back(v); }
+    void writeVal(int v) { rw.writes.insert(v); }
 
     void
     writeFlagsAll()
@@ -78,19 +78,8 @@ struct Collector
         if (!r.valid())
             return;
         if (r.width() <= 2)
-            rw.reads.push_back(valueOf(r));
-        rw.writes.push_back(valueOf(r));
-    }
-
-    void
-    finish()
-    {
-        auto dedup = [](std::vector<int> &v) {
-            std::sort(v.begin(), v.end());
-            v.erase(std::unique(v.begin(), v.end()), v.end());
-        };
-        dedup(rw.reads);
-        dedup(rw.writes);
+            rw.reads.insert(valueOf(r));
+        rw.writes.insert(valueOf(r));
     }
 };
 
@@ -124,13 +113,11 @@ isZeroIdiom(const Inst &inst)
     }
 }
 
-void
-instRw(const Inst &inst, RwSets &out)
+RwSets
+instRw(const Inst &inst)
 {
     using M = Mnemonic;
-    out.reads.clear();
-    out.writes.clear();
-    out.depBreaking = false;
+    RwSets out;
     Collector c{out};
 
     auto regOf = [&](std::size_t i) -> Reg {
@@ -153,8 +140,7 @@ instRw(const Inst &inst, RwSets &out)
           default:
             break;
         }
-        c.finish();
-        return;
+        return out;
     }
 
     c.readAddrs(inst);
@@ -432,16 +418,7 @@ instRw(const Inst &inst, RwSets &out)
       case M::kNumMnemonics:
         break;
     }
-
-    c.finish();
-}
-
-RwSets
-instRw(const Inst &inst)
-{
-    RwSets rw;
-    instRw(inst, rw);
-    return rw;
+    return out;
 }
 
 } // namespace facile::isa

@@ -23,8 +23,9 @@
 #ifndef FACILE_ISA_SEMANTICS_H
 #define FACILE_ISA_SEMANTICS_H
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "isa/inst.h"
 
@@ -42,11 +43,53 @@ valueOf(Reg r)
     return r.family();
 }
 
+static_assert(kNumValues <= 64, "a ValueSet is one 64-bit word");
+
+/**
+ * A set of value ids, one bit per id. Iteration yields the ids in
+ * ascending order. The precedence graph numbers its nodes and edges in
+ * that order, so it must not change: tests/test_golden.cc pins every
+ * prediction bit that depends on it.
+ */
+class ValueSet
+{
+  public:
+    class iterator
+    {
+      public:
+        explicit iterator(std::uint64_t rest) : rest_(rest) {}
+        int operator*() const { return std::countr_zero(rest_); }
+        iterator &
+        operator++()
+        {
+            rest_ &= rest_ - 1; // drop the lowest id
+            return *this;
+        }
+        bool operator==(const iterator &) const = default;
+
+      private:
+        std::uint64_t rest_;
+    };
+
+    void insert(int v) { bits_ |= std::uint64_t{1} << v; }
+    bool contains(int v) const { return (bits_ >> v) & 1u; }
+    std::size_t size() const { return std::popcount(bits_); }
+    bool empty() const { return bits_ == 0; }
+
+    iterator begin() const { return iterator(bits_); }
+    iterator end() const { return iterator(0); }
+
+    bool operator==(const ValueSet &) const = default;
+
+  private:
+    std::uint64_t bits_ = 0;
+};
+
 /** Read/write sets of one instruction. */
 struct RwSets
 {
-    std::vector<int> reads;
-    std::vector<int> writes;
+    ValueSet reads;
+    ValueSet writes;
 
     /**
      * True for dependency-breaking idioms (xor r,r; sub r,r; pxor x,x; ...):
@@ -66,12 +109,6 @@ bool isZeroIdiom(const Inst &inst);
  * and count as full writes.
  */
 RwSets instRw(const Inst &inst);
-
-/**
- * As above, filling a caller-owned RwSets (cleared first). Lets hot
- * paths reuse the sets' vector capacity instead of allocating per call.
- */
-void instRw(const Inst &inst, RwSets &out);
 
 } // namespace facile::isa
 

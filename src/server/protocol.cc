@@ -241,30 +241,33 @@ bool
 decodePredictInto(const std::uint8_t *p, std::size_t len,
                   model::Prediction &out)
 {
+    // Validate everything before writing anything to out.
     if (len < 72)
         return false;
-    out.throughput = bitsDouble(getU64(p));
-    for (int c = 0; c < model::kNumComponents; ++c)
-        out.componentValue[static_cast<std::size_t>(c)] =
-            bitsDouble(getU64(p + 8 + 8 * c));
+    constexpr auto kComponents =
+        static_cast<std::uint8_t>(model::kNumComponents);
     const std::uint8_t primary = p[64];
     const std::size_t nBottlenecks = p[65];
     const std::size_t nChain = getU16(p + 66);
     const std::size_t nContending = getU16(p + 68);
-    out.contendedPorts = getU16(p + 70);
-    if (primary >= static_cast<std::uint8_t>(model::kNumComponents))
+    if (primary >= kComponents || nBottlenecks > kComponents)
         return false;
-    out.primaryBottleneck = static_cast<model::Component>(primary);
     if (len != 72 + nBottlenecks + 4 * nChain + 4 * nContending)
         return false;
-
     const std::uint8_t *q = p + 72;
-    out.bottlenecks.resize(nBottlenecks);
-    for (std::size_t i = 0; i < nBottlenecks; ++i) {
-        if (q[i] >= static_cast<std::uint8_t>(model::kNumComponents))
+    for (std::size_t i = 0; i < nBottlenecks; ++i)
+        if (q[i] >= kComponents)
             return false;
-        out.bottlenecks[i] = static_cast<model::Component>(q[i]);
-    }
+
+    out.throughput = bitsDouble(getU64(p));
+    for (int c = 0; c < model::kNumComponents; ++c)
+        out.componentValue[static_cast<std::size_t>(c)] =
+            bitsDouble(getU64(p + 8 + 8 * c));
+    out.primaryBottleneck = static_cast<model::Component>(primary);
+    out.contendedPorts = getU16(p + 70);
+    out.bottlenecks.clear();
+    for (std::size_t i = 0; i < nBottlenecks; ++i)
+        out.bottlenecks.push_back(static_cast<model::Component>(q[i]));
     q += nBottlenecks;
     out.criticalChain.resize(nChain);
     for (std::size_t i = 0; i < nChain; ++i)

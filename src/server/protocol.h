@@ -54,7 +54,7 @@
  *   u8   primaryBottleneck        u8   nBottlenecks
  *   u16  nCriticalChain           u16  nContendingInsts
  *   u16  contendedPorts
- *   u8   bottlenecks[nBottlenecks]
+ *   u8   bottlenecks[nBottlenecks]   (at most one per component)
  *   i32  criticalChain[nCriticalChain]
  *   i32  contendingInsts[nContendingInsts]
  *
@@ -450,8 +450,9 @@ decodePredictPayload(const std::uint8_t *p, std::size_t len);
 /**
  * As decodePredictPayload, but decodes into @p out, reusing its
  * vector capacities — the allocation-free path for clients that keep
- * a result buffer across batches. Returns false (out unspecified) on
- * a malformed payload.
+ * a result buffer across batches. Returns false, leaving @p out
+ * untouched, on a malformed payload, including one that lists more
+ * bottlenecks than there are components.
  */
 bool decodePredictInto(const std::uint8_t *p, std::size_t len,
                        model::Prediction &out);

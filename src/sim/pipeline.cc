@@ -73,7 +73,7 @@ InstTemplate
 buildTemplate(const AnnotatedInst &ai, const MicroArchConfig &cfg)
 {
     InstTemplate t;
-    const auto &info = *ai.info;
+    const auto &info = ai.info;
     t.fusedUops = info.fusedUops;
     t.issueUops = info.issueUops;
     t.eliminated = info.eliminated;
@@ -82,13 +82,13 @@ buildTemplate(const AnnotatedInst &ai, const MicroArchConfig &cfg)
         return t;
     }
 
-    const isa::RwSets rw = isa::instRw(ai.dec->inst);
-    const isa::MemOp *m = ai.dec->inst.memOperand();
-    const bool loads = ai.dec->inst.isLoad();
-    const bool stackOp = ai.dec->inst.mnem == isa::Mnemonic::PUSH ||
-                         ai.dec->inst.mnem == isa::Mnemonic::POP ||
-                         ai.dec->inst.mnem == isa::Mnemonic::CALL ||
-                         ai.dec->inst.mnem == isa::Mnemonic::RET;
+    const isa::RwSets &rw = ai.rw;
+    const isa::MemOp *m = ai.dec.inst.memOperand();
+    const bool loads = ai.dec.inst.isLoad();
+    const bool stackOp = ai.dec.inst.mnem == isa::Mnemonic::PUSH ||
+                         ai.dec.inst.mnem == isa::Mnemonic::POP ||
+                         ai.dec.inst.mnem == isa::Mnemonic::CALL ||
+                         ai.dec.inst.mnem == isa::Mnemonic::RET;
 
     std::vector<int> addrValues, dataValues;
     for (int r : rw.reads) {
@@ -205,10 +205,10 @@ class LegacyFrontEnd
                                       blk.insts[i + 1].fusedWithPrev;
             Unit u;
             u.instIdx = static_cast<int>(i);
-            u.complex = ai.info->needsComplexDecoder;
-            u.nAvailSimple = ai.info->nAvailableSimpleDecoders;
-            u.macroFusible = ai.info->macroFusible;
-            u.branch = ai.dec->inst.isBranch() || pairWithNext;
+            u.complex = ai.info.needsComplexDecoder;
+            u.nAvailSimple = ai.info.nAvailableSimpleDecoders;
+            u.macroFusible = ai.info.macroFusible;
+            u.branch = ai.dec.inst.isBranch() || pairWithNext;
             u.iqCost = pairWithNext ? 2 : 1;
             units_.push_back(u);
         }
@@ -328,7 +328,7 @@ class LegacyFrontEnd
                     slotIsEnd_.push_back(true);
                 else if (opcHere)
                     slotIsEnd_.push_back(false); // O-slot (boundary cross)
-                if (opcHere && ai.dec->lcp)
+                if (opcHere && ai.dec.lcp)
                     ++lcpCount;
             }
         }

@@ -295,7 +295,7 @@ computeDesc(const Inst &inst, const MicroArchConfig &cfg,
       case M::DIV:
       case M::IDIV: {
         bool wide = inst.operandWidth() == 8;
-        d.uops = wide ? 36 : 10;
+        d.uops = wide ? kWideDivComputeUops : 10;
         d.ports = pc.fpDiv; // the integer divider shares port 0
         d.ports2 = pc.alu;
         d.latency = wide ? 40 : 26;
@@ -533,6 +533,8 @@ lookup(const Inst &inst, const MicroArchConfig &cfg)
                          inst.mnem == M::CALL || inst.mnem == M::RET;
 
     // --- unfused execution µops -----------------------------------------
+    if (hasLoad && inst.mnem != M::RET) // RET's load is in its compute µops
+        info.portUops.push_back({pc.load, UopKind::Load});
     if (d.eliminated) {
         info.eliminated = true;
     } else {
@@ -541,9 +543,6 @@ lookup(const Inst &inst, const MicroArchConfig &cfg)
             info.portUops.push_back({p, UopKind::Compute});
         }
     }
-    if (hasLoad && inst.mnem != M::RET) // RET's load is in its compute µops
-        info.portUops.insert(info.portUops.begin(),
-                             {pc.load, UopKind::Load});
     if (hasStore) {
         info.portUops.push_back({pc.storeAgu, UopKind::StoreAddr});
         info.portUops.push_back({pc.storeData, UopKind::StoreData});

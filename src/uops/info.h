@@ -17,9 +17,10 @@
 #ifndef FACILE_UOPS_INFO_H
 #define FACILE_UOPS_INFO_H
 
-#include <vector>
+#include <cstddef>
 
 #include "isa/inst.h"
+#include "support/inline_vec.h"
 #include "uarch/config.h"
 
 namespace facile::uops {
@@ -41,6 +42,21 @@ struct Uop
     UopKind kind = UopKind::Compute;
 };
 
+/** Compute µops of a 64-bit DIV/IDIV, the longest flow in the database. */
+inline constexpr int kWideDivComputeUops = 36;
+
+/**
+ * Most port µops lookup() gives one instruction: a 64-bit DIV/IDIV's
+ * compute µops plus, with a memory operand, a load and the
+ * store-address/store-data pair (the database treats a memory
+ * destination as stored). A macro-fused pair merges fewer: at most a
+ * load, a store pair and one branch µop.
+ */
+inline constexpr std::size_t kMaxPortUops = kWideDivComputeUops + 3;
+
+/** An instruction's port µops, held inline. */
+using PortUops = support::InlineVec<Uop, kMaxPortUops>;
+
 /** Characteristics of one instruction on one microarchitecture. */
 struct InstrInfo
 {
@@ -54,7 +70,7 @@ struct InstrInfo
      * Unfused µops that occupy execution ports. Empty for µops executed
      * by the renamer (eliminated moves, NOPs, zero idioms).
      */
-    std::vector<Uop> portUops;
+    PortUops portUops;
 
     /** Latency from register sources to the result, in cycles. */
     int latency = 1;

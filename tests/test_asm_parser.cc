@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bhive/generator.h"
 #include "isa/asm_parser.h"
 #include "isa/builder.h"
@@ -74,6 +76,28 @@ TEST(AsmParser, VexThreeOperand)
     Inst i = parseInst("vfmadd231pd xmm0, xmm1, xmm2");
     EXPECT_EQ(i.mnem, Mnemonic::VFMADD231PD);
     EXPECT_EQ(i.ops.size(), 3u);
+}
+
+TEST(AsmParser, MoreOperandsThanAnInstHoldsIsAParseError)
+{
+    EXPECT_EQ(parseInst("imul rax, rbx, 5").ops.size(), kMaxOperands);
+    EXPECT_THROW(parseInst("imul rax, rbx, 5, 6"), ParseError);
+    EXPECT_THROW(parseInst("vfmadd231pd xmm0, xmm1, xmm2, xmm3"),
+                 ParseError);
+}
+
+TEST(AsmParser, BuildersRejectMoreOperandsThanAnInstHolds)
+{
+    EXPECT_THROW(make(Mnemonic::ADD, {R(RAX), R(RBX), R(RCX), R(RDX)}),
+                 std::length_error);
+    EXPECT_THROW(makeCC(Mnemonic::CMOVCC, Cond::E,
+                        {R(RAX), R(RBX), R(RCX), R(RDX)}),
+                 std::length_error);
+    EXPECT_THROW(Inst(Mnemonic::ADD, {R(RAX), R(RBX), R(RCX), R(RDX)}),
+                 std::length_error);
+    Inst full = make(Mnemonic::IMUL, {R(RAX), R(RBX), I(5, 1)});
+    EXPECT_THROW(full.ops.push_back(R(RCX)), std::length_error);
+    EXPECT_EQ(full.ops.size(), kMaxOperands);
 }
 
 TEST(AsmParser, NopWithLength)

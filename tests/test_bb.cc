@@ -2,13 +2,14 @@
  * @file
  * Basic-block layer tests: decode+annotate pipeline, byte offsets,
  * macro-fusion folding, µop totals, JCC-erratum boundary detection,
- * and copy-on-write annotation mutation.
+ * the stored read/write sets, and annotation edits.
  */
 #include <gtest/gtest.h>
 
 #include "bb/basic_block.h"
 #include "isa/builder.h"
 #include "isa/encoder.h"
+#include "isa/semantics.h"
 
 namespace facile::bb {
 namespace {
@@ -44,11 +45,11 @@ TEST(BasicBlock, MacroFusionFoldsPair)
     ASSERT_EQ(blk.insts.size(), 3u);
     EXPECT_FALSE(blk.insts[1].fusedWithPrev);
     EXPECT_TRUE(blk.insts[2].fusedWithPrev);
-    EXPECT_EQ(blk.insts[2].info->fusedUops, 0);
-    EXPECT_TRUE(blk.insts[2].info->portUops.empty());
+    EXPECT_EQ(blk.insts[2].info.fusedUops, 0);
+    EXPECT_TRUE(blk.insts[2].info.portUops.empty());
     // The pair contributes a single fused µop on the branch ports.
-    EXPECT_EQ(blk.insts[1].info->fusedUops, 1);
-    ASSERT_EQ(blk.insts[1].info->portUops.size(), 1u);
+    EXPECT_EQ(blk.insts[1].info.fusedUops, 1);
+    ASSERT_EQ(blk.insts[1].info.portUops.size(), 1u);
     // Total: add(1) + fused pair(1).
     EXPECT_EQ(blk.fusedUops(), 2);
 }
@@ -73,7 +74,7 @@ TEST(BasicBlock, FusedPairKeepsMicroFusedLoad)
     };
     BasicBlock blk = analyze(insts, UArch::SKL);
     ASSERT_TRUE(blk.insts[1].fusedWithPrev);
-    EXPECT_EQ(blk.insts[0].info->portUops.size(), 2u); // load + branch
+    EXPECT_EQ(blk.insts[0].info.portUops.size(), 2u); // load + branch
 }
 
 TEST(BasicBlock, EndsInBranch)
@@ -134,8 +135,8 @@ TEST(BasicBlock, AnnotationsDifferAcrossArchs)
     std::vector<Inst> insts = {make(Mnemonic::MOV, {R(RAX), R(RBX)})};
     BasicBlock snb = analyze(insts, UArch::SNB);
     BasicBlock skl = analyze(insts, UArch::SKL);
-    EXPECT_FALSE(snb.insts[0].info->eliminated);
-    EXPECT_TRUE(skl.insts[0].info->eliminated);
+    EXPECT_FALSE(snb.insts[0].info.eliminated);
+    EXPECT_TRUE(skl.insts[0].info.eliminated);
 }
 
 TEST(BasicBlock, RoundTripThroughBytes)
@@ -149,10 +150,10 @@ TEST(BasicBlock, RoundTripThroughBytes)
     BasicBlock blk = analyze(bytes, UArch::RKL);
     ASSERT_EQ(blk.insts.size(), 3u);
     EXPECT_EQ(blk.bytes, bytes);
-    EXPECT_EQ(blk.insts[1].dec->inst.mnem, Mnemonic::VFMADD231PD);
+    EXPECT_EQ(blk.insts[1].dec.inst.mnem, Mnemonic::VFMADD231PD);
 }
 
-TEST(BasicBlock, MutableInfoIsCopyOnWrite)
+TEST(BasicBlock, MutableInfoEditsOnlyThisBlock)
 {
     std::vector<Inst> insts = {
         make(Mnemonic::IMUL, {R(RAX), R(RBX)}),
@@ -161,24 +162,52 @@ TEST(BasicBlock, MutableInfoIsCopyOnWrite)
     BasicBlock blk = analyze(insts, UArch::SKL);
     BasicBlock copy = blk;
 
-    const int origLatency = blk.insts[0].info->latency;
+    const int origLatency = blk.insts[0].info.latency;
     copy.mutableInfo(0).latency = origLatency + 7;
 
-    // The copy sees its mutation; the original, which shared the
-    // annotations, and a fresh analysis do not.
-    EXPECT_EQ(copy.insts[0].info->latency, origLatency + 7);
-    EXPECT_EQ(blk.insts[0].info->latency, origLatency);
-    EXPECT_NE(copy.insts[0].info, blk.insts[0].info);
+    // The copy sees its edit; the original and a fresh analysis do not.
+    EXPECT_EQ(copy.insts[0].info.latency, origLatency + 7);
+    EXPECT_EQ(blk.insts[0].info.latency, origLatency);
     BasicBlock again = analyze(insts, UArch::SKL);
-    EXPECT_EQ(again.insts[0].info->latency, origLatency);
+    EXPECT_EQ(again.insts[0].info.latency, origLatency);
 
-    // Once the copy owns its annotations, later mutations stay in
-    // place.
-    const uops::InstrInfo *owned = copy.insts[0].info;
-    copy.mutableInfo(1).latency += 1;
-    EXPECT_EQ(copy.insts[0].info, owned);
-    EXPECT_EQ(copy.insts[1].info->latency,
-              blk.insts[1].info->latency + 1);
+    // A µop count edited through one call is in the totals once the
+    // next call has re-summed them.
+    copy.mutableInfo(1).fusedUops += 2;
+    copy.mutableInfo(1).issueUops += 1;
+    copy.mutableInfo(0);
+    EXPECT_EQ(copy.fusedUops(), blk.fusedUops() + 2);
+    EXPECT_EQ(copy.issueUops(), blk.issueUops() + 1);
+    EXPECT_EQ(blk.fusedUops(), 2);
+}
+
+TEST(BasicBlock, AnalyzeStoresEachInstructionsSets)
+{
+    std::vector<Inst> insts = {
+        make(Mnemonic::ADD, {R(RAX), M(memIdx(RBX, RCX, 4, 100))}),
+        make(Mnemonic::XOR, {R(EDX), R(EDX)}),
+        make(Mnemonic::CMP, {R(RAX), R(RDX)}),
+        makeCC(Mnemonic::JCC, Cond::NE, {I(-2, 1)}),
+    };
+    BasicBlock blk = analyze(insts, UArch::SKL);
+    ASSERT_EQ(blk.insts.size(), insts.size());
+    ASSERT_TRUE(blk.insts[3].fusedWithPrev);
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        const RwSets want = instRw(insts[i]);
+        EXPECT_EQ(blk.insts[i].rw.reads, want.reads) << i;
+        EXPECT_EQ(blk.insts[i].rw.writes, want.writes) << i;
+        EXPECT_EQ(blk.insts[i].rw.depBreaking, want.depBreaking) << i;
+    }
+    EXPECT_TRUE(blk.insts[1].rw.depBreaking);
+}
+
+TEST(BasicBlock, EmptyBlockTotalsAreZero)
+{
+    BasicBlock blk = analyze(std::vector<std::uint8_t>{}, UArch::SKL);
+    EXPECT_TRUE(blk.insts.empty());
+    EXPECT_EQ(blk.fusedUops(), 0);
+    EXPECT_EQ(blk.issueUops(), 0);
+    EXPECT_FALSE(blk.touchesJccErratumBoundary());
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "isa/builder.h"
 #include "isa/semantics.h"
@@ -14,9 +14,38 @@ namespace facile::isa {
 namespace {
 
 bool
-contains(const std::vector<int> &v, int x)
+contains(const ValueSet &v, int x)
 {
-    return std::find(v.begin(), v.end(), x) != v.end();
+    return v.contains(x);
+}
+
+std::vector<int>
+ids(const ValueSet &v)
+{
+    std::vector<int> out;
+    for (int id : v)
+        out.push_back(id);
+    return out;
+}
+
+TEST(Semantics, SetsIterateAscendingWithoutDuplicates)
+{
+    // adc al, [r9 + rax*2] reads rax three times (merge, index, RMW
+    // source), r9 and CF; writes rax and both flag groups.
+    RwSets rw = instRw(
+        make(Mnemonic::ADC, {R(AL), M(memIdx(R9, RAX, 2, 0, 1))}));
+    EXPECT_EQ(ids(rw.reads), (std::vector<int>{0, 9, kValCf}));
+    EXPECT_EQ(ids(rw.writes), (std::vector<int>{0, kValCf, kValFlags}));
+    EXPECT_EQ(rw.reads.size(), 3u);
+
+    // Every id, lowest and highest included, round-trips.
+    ValueSet all;
+    for (int v = kNumValues - 1; v >= 0; --v)
+        all.insert(v);
+    std::vector<int> want;
+    for (int v = 0; v < kNumValues; ++v)
+        want.push_back(v);
+    EXPECT_EQ(ids(all), want);
 }
 
 TEST(Semantics, AddRegRegReadsBothWritesDstAndFlags)

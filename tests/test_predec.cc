@@ -71,7 +71,7 @@ TEST(Predec, LcpPenaltyThreeCyclesSerial)
     // 80 bytes = 5 blocks.
     std::vector<Inst> insts(4, make(Mnemonic::ADD, {R(AX), I(0x1234, 2)}));
     bb::BasicBlock blk = blockOf(insts);
-    ASSERT_TRUE(blk.insts[0].dec->lcp);
+    ASSERT_TRUE(blk.insts[0].dec.lcp);
     double tp = predec(blk, true);
     // Each iteration has 4 LCP instructions; the penalty dominates:
     // close to 3 cycles per LCP plus the base predecode cycles, minus

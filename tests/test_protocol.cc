@@ -6,7 +6,8 @@
  * mid-payload, everything at once — must never desync on garbage that
  * happens to frame, and must enforce its buffered-byte quota without
  * corrupting state. Plus wire-codec coverage for the widened STATS
- * payload and the typed ProtocolError.
+ * payload, the PREDICT response's bottleneck bound, and the typed
+ * ProtocolError.
  */
 #include <gtest/gtest.h>
 
@@ -255,6 +256,40 @@ TEST(Protocol, StatsPayloadIsAppendOnlyAcrossVersions)
                      .has_value());
     EXPECT_FALSE(
         decodeStatsPayload(payload, kStatsFieldsV1 * 8 + 3).has_value());
+}
+
+/** A PREDICT response payload listing @p n valid component bytes. */
+std::vector<std::uint8_t>
+payloadWithBottlenecks(std::size_t n)
+{
+    std::vector<std::uint8_t> p(72, 0);
+    p[65] = static_cast<std::uint8_t>(n);
+    for (std::size_t i = 0; i < n; ++i)
+        p.push_back(static_cast<std::uint8_t>(i % model::kNumComponents));
+    return p;
+}
+
+TEST(Protocol, PredictPayloadListsAtMostOneBottleneckPerComponent)
+{
+    const std::vector<std::uint8_t> all =
+        payloadWithBottlenecks(model::kNumComponents);
+    model::Prediction out;
+    ASSERT_TRUE(decodePredictInto(all.data(), all.size(), out));
+    EXPECT_EQ(out.bottlenecks.size(),
+              static_cast<std::size_t>(model::kNumComponents));
+
+    // More entries than components is malformed, and is rejected
+    // before anything is written.
+    for (std::size_t n : {std::size_t{8}, std::size_t{255}}) {
+        const std::vector<std::uint8_t> p = payloadWithBottlenecks(n);
+        model::Prediction untouched;
+        untouched.throughput = 42.0;
+        EXPECT_FALSE(decodePredictInto(p.data(), p.size(), untouched)) << n;
+        EXPECT_EQ(untouched.throughput, 42.0) << n;
+        EXPECT_TRUE(untouched.bottlenecks.empty()) << n;
+        EXPECT_FALSE(decodePredictPayload(p.data(), p.size()).has_value())
+            << n;
+    }
 }
 
 TEST(Protocol, ProtocolErrorCarriesWireStatus)

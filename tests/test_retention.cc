@@ -1,18 +1,33 @@
 /**
  * @file
- * Block analysis retains no memory.
+ * Allocation gates and retention for the never-seen-block and hit paths.
  *
  * This binary replaces the global operator new/delete with counting
- * versions. After a warm-up on never-seen blocks, analyzing and
+ * versions. Allocation counts repeat exactly from run to run, so they
+ * are gated per block with zero tolerance, as the maximum over a fixed
+ * seeded set: one added allocation on any path fails. Each set runs
+ * twice and the second pass is gated — the first grows per-thread
+ * scratch to the set's largest block (and, for the engine, the cache
+ * tables' buckets, which clearCaches() keeps). The gates:
+ *
+ *   - bb::analyze: kAnalyzeAllocs (the bytes it takes by value, and
+ *     the instruction array);
+ *   - model::predict with Payload::None: 0;
+ *   - a miss through a 1-lane engine with the cache on: at most
+ *     kMissExtraAllocs more than analyze + predict (the owned key and
+ *     the cache node);
+ *   - a hit through predictBatchVisit: 0.
+ *
+ * Retention: after a warm-up on never-seen blocks, analyzing and
  * predicting 2,000 more never-seen blocks must leave the live
  * allocation count where the warm-up left it (within kSlack: scratch
  * buffers may still grow to a longer block). That holds serially and
  * through a 1-lane engine with its caches off, so neither path keeps
- * per-block or per-instruction state between requests. Allocations
- * per block are printed for information only.
+ * per-block or per-instruction state between requests.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -93,6 +108,11 @@ constexpr std::size_t kWarmBlocks = 400;
 constexpr std::size_t kMeasuredBlocks = 2000;
 constexpr long long kSlack = 16;
 
+constexpr unsigned long long kAnalyzeAllocs = 2;
+constexpr unsigned long long kPredictAllocs = 0;
+constexpr unsigned long long kMissExtraAllocs = 2;
+constexpr unsigned long long kHitAllocs = 0;
+
 /**
  * @p n distinct never-seen requests, cycling through the nine arches
  * and both notions; @p seen carries the blocks of earlier sets.
@@ -161,23 +181,124 @@ predictThroughEngine(engine::PredictionEngine &eng,
     }
 }
 
-/** Run @p body over @p n blocks; check retention, print allocations. */
+/** Run @p body over @p n blocks; check retention. */
 template <typename Body>
 void
 expectNothingRetained(const char *path, std::size_t n, Body body)
 {
     const long long live0 = g_live.load();
-    const unsigned long long allocs0 = g_allocs.load();
     body();
     const long long retained = g_live.load() - live0;
-    const double perBlock =
-        static_cast<double>(g_allocs.load() - allocs0) /
-        static_cast<double>(n);
-    std::printf("%s: %.1f allocations per never-seen block, %lld "
-                "retained after %zu blocks\n",
-                path, perBlock, retained, n);
+    std::printf("%s: %lld retained after %zu blocks\n", path, retained, n);
     EXPECT_LE(retained, kSlack) << path;
     EXPECT_GE(retained, -kSlack) << path;
+}
+
+/** Allocations one call of @p body makes. */
+template <typename Body>
+unsigned long long
+allocationsOf(Body body)
+{
+    const unsigned long long before = g_allocs.load();
+    body();
+    return g_allocs.load() - before;
+}
+
+/**
+ * Run @p perRequest(i) for every i in [0, n) twice and return the most
+ * allocations one request made in the second pass; print it and the
+ * mean. @p betweenPasses runs after the first pass.
+ */
+template <typename PerRequest, typename BetweenPasses>
+unsigned long long
+maxAllocationsPerRequest(const char *path, std::size_t n,
+                         PerRequest perRequest, BetweenPasses betweenPasses)
+{
+    unsigned long long most = 0, total = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1)
+            betweenPasses();
+        most = total = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const unsigned long long allocs = perRequest(i);
+            most = std::max(most, allocs);
+            total += allocs;
+        }
+    }
+    std::printf("%s: at most %llu allocations per request (mean %.2f) "
+                "over %zu requests\n",
+                path, most,
+                static_cast<double>(total) / static_cast<double>(n), n);
+    return most;
+}
+
+TEST(Retention, AnalyzeAllocatesOnlyTheBytesAndTheInstructionArray)
+{
+    const std::vector<engine::Request> &reqs = sets().serial;
+    const unsigned long long most = maxAllocationsPerRequest(
+        "bb::analyze", reqs.size(),
+        [&](std::size_t i) {
+            const engine::Request &r = reqs[i];
+            return allocationsOf([&] {
+                const bb::BasicBlock blk = bb::analyze(r.bytes, r.arch);
+                EXPECT_FALSE(blk.insts.empty());
+            });
+        },
+        [] {});
+    EXPECT_LE(most, kAnalyzeAllocs);
+}
+
+TEST(Retention, PredictAllocatesNothing)
+{
+    const std::vector<engine::Request> &reqs = sets().serial;
+    const unsigned long long most = maxAllocationsPerRequest(
+        "model::predict, Payload::None", reqs.size(),
+        [&](std::size_t i) {
+            const engine::Request &r = reqs[i];
+            const bb::BasicBlock blk = bb::analyze(r.bytes, r.arch);
+            return allocationsOf([&] {
+                const model::Prediction p =
+                    model::predict(blk, r.loop, r.config,
+                                   model::tlsPredictScratch(),
+                                   model::Payload::None);
+                EXPECT_GT(p.throughput, 0.0);
+            });
+        },
+        [] {});
+    EXPECT_LE(most, kPredictAllocs);
+}
+
+TEST(Retention, EngineMissAddsOnlyTheKeyAndTheNodeAndAHitNothing)
+{
+    engine::EngineOptions eo;
+    eo.numThreads = 1;
+    engine::PredictionEngine eng(eo);
+
+    // One-request batches, built before counting starts.
+    std::vector<std::vector<engine::Request>> singles;
+    for (const engine::Request &r : sets().engine)
+        singles.push_back({r});
+    engine::BatchStats stats;
+    const engine::PredictionEngine::PredictionVisitor visit =
+        [](int, std::size_t, const model::Prediction &p) {
+            EXPECT_GT(p.throughput, 0.0);
+        };
+    auto request = [&](std::size_t i) {
+        return allocationsOf(
+            [&] { eng.predictBatchVisit(singles[i], visit, &stats); });
+    };
+
+    const unsigned long long miss = maxAllocationsPerRequest(
+        "engine miss, 1 lane", singles.size(), request,
+        [&] { eng.clearCaches(); });
+    EXPECT_LE(miss, kAnalyzeAllocs + kPredictAllocs + kMissExtraAllocs);
+    EXPECT_EQ(stats.analyzed, 2 * singles.size());
+
+    // Both passes now hit: the cache holds every request.
+    const unsigned long long hit = maxAllocationsPerRequest(
+        "engine hit, 1 lane", singles.size(), request, [] {});
+    EXPECT_LE(hit, kHitAllocs);
+    EXPECT_EQ(stats.predictionCacheHits, 2 * singles.size());
 }
 
 TEST(Retention, NeverSeenBlocksLeaveNothingBehind)

@@ -312,6 +312,58 @@ TEST(Snapshot, ForgedPredictionCountIsRejected)
                  analysis::SnapshotError);
 }
 
+/**
+ * A one-entry image whose prediction payload is forged to list @p n
+ * valid component bytes as its bottlenecks.
+ */
+std::vector<std::uint8_t>
+imageWithBottlenecks(std::size_t n)
+{
+    std::vector<std::uint8_t> img = smallImage(1);
+    std::vector<corpus::SectionEntry> table = sectionTable(img);
+    EXPECT_EQ(table[0].offset + table[0].length, img.size());
+    // Section: u32 count, then u32 keyLen, key, u32 payloadLen, payload.
+    std::size_t pos = table[0].offset + 4;
+    std::uint32_t keyLen = 0;
+    std::memcpy(&keyLen, img.data() + pos, 4);
+    pos += 4 + keyLen;
+    std::vector<std::uint8_t> payload(img.begin() + pos + 4,
+                                      img.begin() + pos + 4 + 72);
+    payload[65] = static_cast<std::uint8_t>(n);
+    std::fill(payload.begin() + 66, payload.begin() + 70, 0); // no chains
+    for (std::size_t i = 0; i < n; ++i)
+        payload.push_back(
+            static_cast<std::uint8_t>(i % model::kNumComponents));
+    img.resize(pos + 4);
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    std::memcpy(img.data() + pos, &len, 4);
+    img.insert(img.end(), payload.begin(), payload.end());
+    table[0].length = img.size() - table[0].offset;
+    restamp(img, table);
+    return img;
+}
+
+TEST(Snapshot, PredictionWithMoreBottlenecksThanComponentsIsRejected)
+{
+    // The forgery itself is sound: all seven components load.
+    const std::vector<std::uint8_t> seven =
+        imageWithBottlenecks(model::kNumComponents);
+    engine::PredictionEngine ok({.numThreads = 1});
+    EXPECT_EQ(analysis::loadSnapshotFromMemory(seven.data(), seven.size(),
+                                               {&ok})
+                  .predictions,
+              1u);
+
+    const std::vector<std::uint8_t> img = imageWithBottlenecks(8);
+    engine::PredictionEngine eng({.numThreads = 1});
+    EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
+                 analysis::SnapshotError);
+    EXPECT_THROW(analysis::loadSnapshotFromMemory(img.data(), img.size(),
+                                                  {&eng}),
+                 analysis::SnapshotError);
+    EXPECT_EQ(cacheSize(eng), 0u);
+}
+
 TEST(Snapshot, EveryTruncationRejected)
 {
     // Every proper prefix must throw, never crash or return garbage.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: math helpers, accuracy metrics,
- * and the deterministic RNG.
+ * the deterministic RNG, and the inline fixed-capacity vector.
  */
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
+#include "support/inline_vec.h"
 #include "support/math_util.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -281,6 +283,53 @@ TEST(Rng, UniformInUnitInterval)
     }
     EXPECT_NEAR(sum / 1000.0, 0.5, 0.05);
 }
+
+TEST(InlineVec, HoldsUpToItsCapacityAndThrowsBeyond)
+{
+    support::InlineVec<int, 3> v{1, 2};
+    EXPECT_EQ(v.size(), 2u);
+    v.push_back(3);
+    EXPECT_EQ(v.front(), 1);
+    EXPECT_EQ(v.back(), 3);
+    EXPECT_THROW(v.push_back(4), std::length_error);
+    EXPECT_EQ(v.size(), 3u);
+    EXPECT_THROW((support::InlineVec<int, 3>{1, 2, 3, 4}), std::length_error);
+    int sum = 0;
+    for (int x : v)
+        sum += x;
+    EXPECT_EQ(sum, 6);
+    v.clear();
+    EXPECT_TRUE(v.empty());
+}
+
+TEST(InlineVec, CopiesAndEqualityUseLiveElementsOnly)
+{
+    support::InlineVec<int, 4> a{7, 8, 9};
+    support::InlineVec<int, 4> b{7, 8};
+    EXPECT_NE(a, b);
+    b.push_back(9);
+    EXPECT_EQ(a, b);
+    a.clear();
+    a.push_back(7);
+    // b's third slot is stale in a's storage, but not live in either.
+    support::InlineVec<int, 4> c{7};
+    EXPECT_EQ(a, c);
+    support::InlineVec<int, 4> d = b;
+    EXPECT_EQ(d, b);
+    d = c;
+    EXPECT_EQ(d, c);
+    EXPECT_EQ(d.size(), 1u);
+}
+
+#ifdef _GLIBCXX_ASSERTIONS
+TEST(InlineVecDeathTest, IndexPastTheCountAborts)
+{
+    support::InlineVec<int, 4> v{1, 2};
+    EXPECT_DEATH(static_cast<void>(v[2]), "out of range");
+    support::InlineVec<int, 4> empty;
+    EXPECT_DEATH(static_cast<void>(empty.back()), "out of range");
+}
+#endif
 
 } // namespace
 } // namespace facile

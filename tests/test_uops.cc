@@ -109,6 +109,32 @@ TEST_P(AllArchs, DatabaseInvariants)
     }
 }
 
+TEST(UopsDb, WideDivWithMemoryIsTheLargestPortUopList)
+{
+    // A 64-bit DIV/IDIV with a memory operand is the database's longest
+    // flow: its compute µops, a load, and — the memory destination
+    // counts as stored — a store-address/store-data pair. The inline
+    // port-µop capacity is exactly that.
+    for (Mnemonic m : {Mnemonic::DIV, Mnemonic::IDIV})
+        for (UArch a : allUArchs()) {
+            const InstrInfo info =
+                lookup(make(m, {M(mem(RBX, 8, 8))}), config(a));
+            std::size_t compute = 0;
+            for (const Uop &u : info.portUops)
+                compute += u.kind == UopKind::Compute;
+            EXPECT_EQ(compute,
+                      static_cast<std::size_t>(kWideDivComputeUops));
+            EXPECT_EQ(info.portUops.size(), kMaxPortUops);
+            EXPECT_EQ(info.portUops.front().kind, UopKind::Load);
+            EXPECT_EQ(info.portUops.back().kind, UopKind::StoreData);
+        }
+    // No representative form needs more.
+    for (const Inst &inst : representativeInsts())
+        for (UArch a : allUArchs())
+            EXPECT_LE(lookup(inst, config(a)).portUops.size(), kMaxPortUops)
+                << toString(inst);
+}
+
 TEST(UopsDb, MicroFusionCounts)
 {
     const auto &skl = config(UArch::SKL);
