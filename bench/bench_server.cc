@@ -25,7 +25,6 @@
 #include <memory>
 #include <thread>
 
-#include "analysis/snapshot.h"
 #include "cluster/membership.h"
 #include "cluster/router.h"
 #include "facile/component.h"
@@ -477,51 +476,6 @@ main()
         }
     }
 
-    // ---- wire-bootstrap gate -----------------------------------------------
-    // A replica bootstrapping from a peer must receive EXACTLY the
-    // bytes a local saveSnapshot would have produced, and a fresh
-    // engine loaded from the wire image must serve the whole suite
-    // from its prediction cache, bit-identically.
-    bool wireBootstrapIdentical = true;
-    {
-        engine::PredictionEngine::Options eo;
-        eo.numThreads = 2;
-        engine::PredictionEngine bootEngine(eo);
-        server::ServerOptions bo;
-        bo.engine = &bootEngine;
-        std::unique_ptr<server::PredictionServer> bootSrv;
-        if (startWithFallback(bootSrv, bo, "_boot")) {
-            auto cl = connectTo(*bootSrv);
-            cl.predictMany(batch);
-            const std::vector<std::uint8_t> wire = cl.fetchSnapshot();
-            const std::vector<std::uint8_t> local =
-                analysis::saveSnapshotToMemory({&bootEngine, 1});
-            if (wire != local) {
-                std::fprintf(stderr, "wire snapshot differs from local "
-                                     "save (%zu vs %zu bytes)\n",
-                             wire.size(), local.size());
-                wireBootstrapIdentical = false;
-            }
-            engine::PredictionEngine freshEngine(eo);
-            analysis::loadSnapshotFromMemory(wire.data(), wire.size(),
-                                             {&freshEngine});
-            engine::BatchStats bs;
-            auto out = freshEngine.predictBatch(batch, &bs);
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                if (!samePrediction(out[i], serial[i]))
-                    wireBootstrapIdentical = false;
-            if (bs.predictionCacheHits != batch.size()) {
-                std::fprintf(stderr, "wire-bootstrapped engine served "
-                                     "%zu/%zu from cache\n",
-                             bs.predictionCacheHits, batch.size());
-                wireBootstrapIdentical = false;
-            }
-            bootSrv->stop();
-        }
-        if (!wireBootstrapIdentical)
-            identical = false;
-    }
-
     std::printf("%-34s %12s %10s\n", "Configuration", "blocks/s",
                 "vs serial");
     bench::printRule();
@@ -541,8 +495,6 @@ main()
                     bps / serialBps);
     }
     bench::printRule();
-    std::printf("wire-bootstrap image identical to local save: %s\n",
-                wireBootstrapIdentical ? "yes" : "NO");
     std::printf("server vs in-process cached: %.0f%% (target >= 50%%)\n",
                 100.0 * serverBps / inprocBps);
     std::printf("round-trip latency: p50 %.1f us, p99 %.1f us\n", p50,
@@ -614,7 +566,6 @@ main()
     report.scalar("p50_us", p50);
     report.scalar("p99_us", p99);
     report.boolean("bit_identical", identical);
-    report.boolean("wire_bootstrap_identical", wireBootstrapIdentical);
     report.write();
     return identical ? 0 : 1;
 }

@@ -82,7 +82,6 @@ BOOLEAN_GATES = [
     "bit_identical",
     "warm_bit_identical",
     "v2_first_predict_identical",
-    "wire_bootstrap_identical",
 ]
 
 

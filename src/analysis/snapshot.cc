@@ -467,13 +467,4 @@ SnapshotModelSet::canonical() const
     return m;
 }
 
-SnapshotModel
-mergeSnapshotModels(const std::vector<SnapshotModel> &models)
-{
-    SnapshotModelSet set;
-    for (std::size_t i = 0; i < models.size(); ++i)
-        set.accumulate(models[i], "input " + std::to_string(i));
-    return set.canonical();
-}
-
 } // namespace facile::analysis

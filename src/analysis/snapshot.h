@@ -131,11 +131,9 @@ SnapshotStats saveSnapshot(const std::string &path,
                            const SnapshotOptions &opts = {});
 
 /**
- * As saveSnapshot, but into a byte vector instead of a file — the
- * entry point for snapshots that leave over a wire rather than to
- * disk (the SNAPSHOT-fetch admin op, replica convergence). The image
- * is byte-identical to what saveSnapshot would have written for the
- * same live state.
+ * As saveSnapshot, but into a byte vector instead of a file. The
+ * image is byte-identical to what saveSnapshot would have written for
+ * the same live state.
  */
 std::vector<std::uint8_t>
 saveSnapshotToMemory(const SnapshotOptions &opts = {});
@@ -152,9 +150,8 @@ SnapshotStats loadSnapshot(const std::string &path,
                            const SnapshotOptions &opts = {});
 
 /**
- * As loadSnapshot, but from an in-memory image — the entry point for
- * snapshots that arrive over a wire rather than from disk. Nothing
- * stays bound to @p data.
+ * As loadSnapshot, but from an in-memory image. Nothing stays bound
+ * to @p data.
  */
 SnapshotStats loadSnapshotFromMemory(const std::uint8_t *data,
                                      std::size_t size,
@@ -175,8 +172,7 @@ SnapshotStats validateSnapshot(const std::uint8_t *data,
 
 /**
  * A fully-parsed view of one snapshot image: the operand
- * facile_snaptool's diff/merge/compact subcommands and the replica
- * convergence loop work on. File order is preserved exactly, so
+ * facile_snaptool's diff/merge/compact subcommands work on. File order is preserved exactly, so
  * buildSnapshotImage(parseSnapshotModel(img)) reproduces a
  * canonically-written image byte for byte.
  */
@@ -205,11 +201,10 @@ std::vector<std::uint8_t> buildSnapshotImage(const SnapshotModel &model);
 
 /**
  * Order-independent set view over one or more SnapshotModels — the
- * merge layer behind `facile_snaptool merge|diff|compact` and the
- * cluster replica-convergence loop. accumulate() folds models in;
- * canonical() rebuilds a deterministic model, so the same input set
- * yields the same image whatever order the inputs arrived in (merge
- * commutativity — the property the convergence cadence relies on).
+ * merge layer behind `facile_snaptool merge|diff|compact`.
+ * accumulate() folds models in; canonical() rebuilds a deterministic
+ * model, so the same input set yields the same image whatever order
+ * the inputs arrived in (merge commutativity).
  */
 class SnapshotModelSet
 {
@@ -228,14 +223,6 @@ class SnapshotModelSet
     /** Rebuild a SnapshotModel with predictions sorted by key. */
     SnapshotModel canonical() const;
 };
-
-/**
- * accumulate() every model of @p models (named by index) into one set
- * and return its canonical union — commutative and associative.
- * @throws SnapshotError on content conflicts.
- */
-SnapshotModel
-mergeSnapshotModels(const std::vector<SnapshotModel> &models);
 
 } // namespace facile::analysis
 

@@ -54,17 +54,23 @@ struct Router::Impl
         explicit EvSource(Kind k) : kind(k) {}
     };
 
-    /** One downstream client connection. Io-thread-owned. */
-    struct ClientConn : EvSource
+    /** What both connection kinds share: the socket's write side. */
+    struct Peer : EvSource
     {
-        ClientConn() : EvSource(Kind::Client) {}
+        using EvSource::EvSource;
         int fd = -1;
-        bool open = true;
-        bool wantWrite = false;
-        FrameParser parser;
+        bool wantWrite = false; ///< EPOLLOUT armed
         WriteQueue outq;
-        /** Responses staged during one event; flushed in one sendmsg. */
+        /** Frames staged during one event; flushed in one sendmsg. */
         std::vector<std::uint8_t> stage;
+    };
+
+    /** One downstream client connection. Io-thread-owned. */
+    struct ClientConn : Peer, std::enable_shared_from_this<ClientConn>
+    {
+        ClientConn() : Peer(Kind::Client) {}
+        bool open = true;
+        FrameParser parser;
     };
 
     enum class ConnState : std::uint8_t { Down, Connecting, Up };
@@ -73,17 +79,12 @@ struct Router::Impl
      * One upstream backend: a single pipelined connection shared by
      * every client, re-dialed with backoff across its lifetimes.
      */
-    struct BackendConn : EvSource
+    struct BackendConn : Peer
     {
-        BackendConn() : EvSource(Kind::Backend) {}
+        BackendConn() : Peer(Kind::Backend) {}
         std::size_t idx = 0;
-        int fd = -1;
         ConnState connState = ConnState::Down;
-        bool draining = false;  ///< last HEALTH answer was Draining
-        bool wantWrite = false; ///< EPOLLOUT armed (Up state)
-        WriteQueue outq;
-        /** Frames staged during one event; flushed in one sendmsg. */
-        std::vector<std::uint8_t> stage;
+        bool draining = false; ///< last HEALTH answer was Draining
         /** Frames produced while the connect is still in flight. */
         std::vector<std::uint8_t> preConnect;
 
@@ -156,16 +157,17 @@ struct Router::Impl
         }
     }
 
-    // ---- backend lifecycle -------------------------------------------------
-
+    /** Register (@p add) or change @p p's epoll interest. */
     void
-    setBackendEvents(BackendConn &b, std::uint32_t events, bool add)
+    setEvents(Peer &p, std::uint32_t events, bool add)
     {
         epoll_event ev{};
         ev.events = events;
-        ev.data.ptr = static_cast<EvSource *>(&b);
-        ::epoll_ctl(epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, b.fd, &ev);
+        ev.data.ptr = static_cast<EvSource *>(&p);
+        ::epoll_ctl(epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, p.fd, &ev);
     }
+
+    // ---- backend lifecycle -------------------------------------------------
 
     /** True once @p b may receive forwarded frames. */
     bool
@@ -228,14 +230,14 @@ struct Router::Impl
         b.fd = fd;
         if (rc == 0) {
             b.connState = ConnState::Up;
-            setBackendEvents(b, EPOLLIN, /*add=*/true);
+            setEvents(b, EPOLLIN, /*add=*/true);
             onBackendConnected(b);
         } else {
             // Routable while connecting: frames queue in preConnect
             // and flush the moment the handshake completes, so early
             // traffic is buffered instead of shed.
             b.connState = ConnState::Connecting;
-            setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/true);
+            setEvents(b, EPOLLIN | EPOLLOUT, /*add=*/true);
         }
         refreshPoolState(b);
     }
@@ -251,7 +253,7 @@ struct Router::Impl
         if (!b.preConnect.empty()) {
             std::vector<std::uint8_t> out;
             out.swap(b.preConnect);
-            writeBackend(b, out.data(), out.size());
+            writePeer(b, out.data(), out.size());
         }
         sendProbe(b);
     }
@@ -312,9 +314,8 @@ struct Router::Impl
                 const std::size_t next = pool.pick(p.key, dead);
                 if (next == BackendPool::npos) {
                     // Nothing left to replay onto: surface retryable
-                    // backpressure — ResilientClient backs off and
-                    // re-sends, so callers still see zero failures
-                    // once a backend returns.
+                    // backpressure; a caller that backs off and
+                    // re-sends succeeds once a backend returns.
                     std::vector<std::uint8_t> reply;
                     appendStatusResponse(reply, p.origId, Op::Predict,
                                          Status::Overloaded);
@@ -353,30 +354,8 @@ struct Router::Impl
     void
     flushBackend(BackendConn &b)
     {
-        if (b.connState != ConnState::Up || b.stage.empty())
-            return;
-        // writeGather copies any unsent tail into the outq, so the
-        // stage can be dropped whatever the outcome.
-        iovec iov{b.stage.data(), b.stage.size()};
-        const auto r = b.outq.writeGather(b.fd, &iov, 1);
-        b.stage.clear();
-        switch (r) {
-          case WriteQueue::Result::Drained:
-            if (b.wantWrite) {
-                setBackendEvents(b, EPOLLIN, /*add=*/false);
-                b.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!b.wantWrite) {
-                setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/false);
-                b.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            markBackendDead(b);
-            return;
-        }
+        if (b.connState == ConnState::Up && !b.stage.empty())
+            flushStage(b);
     }
 
     void
@@ -387,30 +366,6 @@ struct Router::Impl
     }
 
     void
-    writeBackend(BackendConn &b, const std::uint8_t *data,
-                 std::size_t len)
-    {
-        iovec iov{const_cast<std::uint8_t *>(data), len};
-        switch (b.outq.writeGather(b.fd, &iov, 1)) {
-          case WriteQueue::Result::Drained:
-            if (b.wantWrite) {
-                setBackendEvents(b, EPOLLIN, /*add=*/false);
-                b.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!b.wantWrite) {
-                setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/false);
-                b.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            markBackendDead(b);
-            return;
-        }
-    }
-
-    void
     sendProbe(BackendConn &b)
     {
         if (b.connState != ConnState::Up)
@@ -418,7 +373,7 @@ struct Router::Impl
         std::vector<std::uint8_t> frame;
         appendControlRequest(frame, nextProbeId++, Op::Health);
         b.probeOutstanding = true;
-        writeBackend(b, frame.data(), frame.size());
+        writePeer(b, frame.data(), frame.size());
     }
 
     // ---- backend responses -------------------------------------------------
@@ -509,16 +464,6 @@ struct Router::Impl
     // ---- client side -------------------------------------------------------
 
     void
-    setClientEvents(ClientConn &c, std::uint32_t events, bool add)
-    {
-        epoll_event ev{};
-        ev.events = events;
-        ev.data.ptr = static_cast<EvSource *>(&c);
-        ::epoll_ctl(epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, c.fd,
-                    &ev);
-    }
-
-    void
     closeClient(ClientConn &c)
     {
         if (!c.open)
@@ -543,51 +488,70 @@ struct Router::Impl
             c.stage.clear();
             return;
         }
-        iovec iov{c.stage.data(), c.stage.size()};
-        const auto r = c.outq.writeGather(c.fd, &iov, 1);
-        c.stage.clear();
-        switch (r) {
-          case WriteQueue::Result::Drained:
-            if (c.wantWrite) {
-                setClientEvents(c, EPOLLIN, /*add=*/false);
-                c.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!c.wantWrite) {
-                setClientEvents(c, EPOLLIN | EPOLLOUT, /*add=*/false);
-                c.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            closeClient(c);
-            return;
-        }
+        flushStage(c);
     }
 
     void
     writeClient(ClientConn &c, const std::uint8_t *data, std::size_t len)
     {
-        if (!c.open)
+        if (c.open)
+            writePeer(c, data, len);
+    }
+
+    // ---- write side, both connection kinds ---------------------------------
+
+    /** Arm or disarm EPOLLOUT on an Up backend or an open client. */
+    void
+    setWantWrite(Peer &p, bool want)
+    {
+        if (p.wantWrite == want)
             return;
-        iovec iov{const_cast<std::uint8_t *>(data), len};
-        switch (c.outq.writeGather(c.fd, &iov, 1)) {
+        setEvents(p, EPOLLIN | (want ? EPOLLOUT : 0u), /*add=*/false);
+        p.wantWrite = want;
+    }
+
+    /**
+     * Act on one write's outcome: a drained queue disarms EPOLLOUT, a
+     * blocked one arms it, and a gone peer is closed (a client) or
+     * declared dead (a backend).
+     */
+    void
+    applyWriteResult(Peer &p, WriteQueue::Result r)
+    {
+        switch (r) {
           case WriteQueue::Result::Drained:
-            if (c.wantWrite) {
-                setClientEvents(c, EPOLLIN, /*add=*/false);
-                c.wantWrite = false;
-            }
+            setWantWrite(p, false);
             return;
           case WriteQueue::Result::Blocked:
-            if (!c.wantWrite) {
-                setClientEvents(c, EPOLLIN | EPOLLOUT, /*add=*/false);
-                c.wantWrite = true;
-            }
+            setWantWrite(p, true);
             return;
           case WriteQueue::Result::PeerGone:
-            closeClient(c);
+            if (p.kind == EvSource::Kind::Client)
+                closeClient(static_cast<ClientConn &>(p));
+            else
+                markBackendDead(static_cast<BackendConn &>(p));
             return;
         }
+    }
+
+    /** Write @p data to @p p, queued behind any bytes still unsent. */
+    void
+    writePeer(Peer &p, const std::uint8_t *data, std::size_t len)
+    {
+        iovec iov{const_cast<std::uint8_t *>(data), len};
+        applyWriteResult(p, p.outq.writeGather(p.fd, &iov, 1));
+    }
+
+    /** Send @p p's staged frames in one gathered write. */
+    void
+    flushStage(Peer &p)
+    {
+        // writeGather copies any unsent tail into the outq, so the
+        // stage can be dropped whatever the outcome.
+        iovec iov{p.stage.data(), p.stage.size()};
+        const auto r = p.outq.writeGather(p.fd, &iov, 1);
+        p.stage.clear();
+        applyWriteResult(p, r);
     }
 
     void
@@ -611,7 +575,7 @@ struct Router::Impl
             conn->parser = FrameParser({opts.maxBufferedPerConn});
             connectionsAccepted.fetch_add(1, std::memory_order_relaxed);
             connectionsOpen.fetch_add(1, std::memory_order_relaxed);
-            setClientEvents(*conn, EPOLLIN, /*add=*/true);
+            setEvents(*conn, EPOLLIN, /*add=*/true);
             clients.push_back(std::move(conn));
         }
     }
@@ -665,10 +629,10 @@ struct Router::Impl
             appendHealthResponse(reply, h.id, HealthState::Ready);
             return;
           case Op::Snapshot:
-            // Snapshot administration (save, fetch-bootstrap) targets
-            // ONE replica; through a hashing router "which one" is
-            // meaningless, so the op is refused rather than forwarded
-            // somewhere arbitrary.
+            // Snapshot administration (SAVE) targets ONE replica;
+            // through a hashing router "which one" is meaningless, so
+            // the op is refused rather than forwarded somewhere
+            // arbitrary.
             appendStatusResponse(reply, h.id, Op::Snapshot,
                                  Status::BadRequest);
             return;
@@ -784,18 +748,10 @@ struct Router::Impl
                         closeClient(c);
                         break;
                     }
-                    if (evs[i].events & EPOLLOUT) {
-                        const auto r = c.outq.flush(c.fd);
-                        if (r == WriteQueue::Result::PeerGone)
-                            closeClient(c);
-                        else if (r == WriteQueue::Result::Drained &&
-                                 c.wantWrite) {
-                            setClientEvents(c, EPOLLIN, false);
-                            c.wantWrite = false;
-                        }
-                    }
+                    if (evs[i].events & EPOLLOUT)
+                        applyWriteResult(c, c.outq.flush(c.fd));
                     if (c.open && (evs[i].events & EPOLLIN))
-                        clientReadable(clientPtr(c), chunk);
+                        clientReadable(c.shared_from_this(), chunk);
                     break;
                   }
                   case EvSource::Kind::Backend: {
@@ -843,17 +799,11 @@ struct Router::Impl
                 markBackendDead(b);
                 return;
             }
-            setBackendEvents(b, EPOLLIN, /*add=*/false);
+            setEvents(b, EPOLLIN, /*add=*/false);
             onBackendConnected(b);
             return;
         }
-        const auto r = b.outq.flush(b.fd);
-        if (r == WriteQueue::Result::PeerGone) {
-            markBackendDead(b);
-        } else if (r == WriteQueue::Result::Drained && b.wantWrite) {
-            setBackendEvents(b, EPOLLIN, /*add=*/false);
-            b.wantWrite = false;
-        }
+        applyWriteResult(b, b.outq.flush(b.fd));
     }
 
     void
@@ -885,15 +835,6 @@ struct Router::Impl
                                          return !c->open;
                                      }),
                       clients.end());
-    }
-
-    const std::shared_ptr<ClientConn> &
-    clientPtr(ClientConn &c) const
-    {
-        for (const auto &p : clients)
-            if (p.get() == &c)
-                return p;
-        throw std::logic_error("client not registered");
     }
 
     // ---- lifecycle ---------------------------------------------------------

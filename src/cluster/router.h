@@ -26,13 +26,12 @@
  * HEALTH probe down each backend pipe; healthMissLimit consecutive
  * unanswered probes — or any transport error — declare the backend
  * dead. Its in-flight requests are REPLAYED to the next rendezvous
- * pick (predictions are pure, so replay is idempotent — the same
- * argument ResilientClient makes), and only when no backend remains
- * routable does the caller see OVERLOADED, which ResilientClient
- * already treats as retryable backpressure. A backend that answers
- * HEALTH with Draining keeps its in-flight work but receives nothing
- * new — the drain handshake a fleet rollout needs. Dead backends are
- * re-dialed with exponential backoff.
+ * pick (predictions are pure, so replay is idempotent), and only
+ * when no backend remains routable does the caller see OVERLOADED,
+ * which ProtocolError::retryable() classes as backpressure. A backend
+ * that answers HEALTH with Draining keeps its in-flight work but
+ * receives nothing new — the drain handshake a fleet rollout needs.
+ * Dead backends are re-dialed with exponential backoff.
  */
 #ifndef FACILE_CLUSTER_ROUTER_H
 #define FACILE_CLUSTER_ROUTER_H

@@ -153,6 +153,12 @@ Inst::isStore() const
     switch (mnem) {
       case Mnemonic::LEA:
       case Mnemonic::JMP:
+      // One-operand multiply/divide: the memory operand is a source;
+      // the results go to rDX:rAX.
+      case Mnemonic::MUL:
+      case Mnemonic::IMUL:
+      case Mnemonic::DIV:
+      case Mnemonic::IDIV:
         return false;
       default:
         return true;

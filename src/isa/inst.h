@@ -60,10 +60,11 @@ enum class Cond : std::uint8_t {
 /** Memory operand: [base + index*scale + disp], width in bytes. */
 struct MemOp
 {
+    // Widest field first: 12 bytes, no interior padding.
+    std::int32_t disp = 0;
     Reg base;            ///< must be a Gpr64 (subset restriction)
     Reg index;           ///< Gpr64 or None
     std::uint8_t scale = 1; ///< 1, 2, 4, or 8
-    std::int32_t disp = 0;
     std::uint8_t width = 8; ///< access width in bytes
 
     bool operator==(const MemOp &o) const = default;
@@ -74,10 +75,12 @@ struct Operand
 {
     enum class Kind : std::uint8_t { None, Reg, Mem, Imm };
 
+    // Widest field first: 24 bytes instead of 40 (an Inst holds up to
+    // four of these, by value, in every analyzed instruction).
+    std::int64_t imm = 0;
+    MemOp mem;
     Kind kind = Kind::None;
     Reg reg;
-    MemOp mem;
-    std::int64_t imm = 0;
     std::uint8_t immWidth = 0; ///< immediate width in bytes (1, 2, or 4)
 
     static Operand

@@ -408,43 +408,6 @@ Client::snapshot()
     return h.status == static_cast<std::uint8_t>(Status::Ok);
 }
 
-std::vector<std::uint8_t>
-Client::fetchSnapshot()
-{
-    const std::uint64_t id = nextId_++;
-    std::vector<std::uint8_t> frame;
-    appendSnapshotFetchRequest(frame, id);
-    writeAll(frame.data(), frame.size());
-
-    std::vector<std::uint8_t> img;
-    std::uint64_t total = 0;
-    bool sawChunk = false;
-    for (;;) {
-        const std::uint8_t *payload = nullptr;
-        ResponseHeader h = readResponse(payload);
-        if (h.id != id)
-            throw ProtocolError("SNAPSHOT stream id mismatch");
-        throwOnRejected(h);
-        auto chunk = decodeSnapshotChunk(payload, h.len);
-        if (!chunk)
-            throw ProtocolError("malformed SNAPSHOT chunk");
-        if (!sawChunk) {
-            total = chunk->totalBytes;
-            img.reserve(static_cast<std::size_t>(total));
-            sawChunk = true;
-        } else if (chunk->totalBytes != total) {
-            throw ProtocolError("SNAPSHOT stream changed size mid-way");
-        }
-        if (chunk->offset != img.size())
-            throw ProtocolError("SNAPSHOT stream chunk out of order");
-        if (chunk->len == 0 && img.size() < total)
-            throw ProtocolError("truncated SNAPSHOT stream");
-        img.insert(img.end(), chunk->data, chunk->data + chunk->len);
-        if (img.size() >= total)
-            return img;
-    }
-}
-
 void
 Client::ping()
 {

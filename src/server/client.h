@@ -56,8 +56,7 @@ class Client
      * rejections so callers can treat Overloaded/Draining as
      * retryable backpressure (ProtocolError::retryable()); transport
      * faults (connect failure, connection loss, poll errors) throw
-     * TransportError. ResilientClient wraps this class and turns both
-     * retryable classes into automatic reconnect/backoff/replay.
+     * TransportError.
      */
     model::Prediction
     predict(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
@@ -101,16 +100,6 @@ class Client
      * false when the server has no path configured or the save failed.
      */
     bool snapshot();
-
-    /**
-     * Fetch the server's prediction cache as a snapshot image (the
-     * SNAPSHOT-fetch subop): the chunk stream is reassembled and the
-     * whole image returned, ready for analysis::loadSnapshotFromMemory
-     * or an AtomicFileWriter spill to disk for a warm start. The image
-     * is byte-identical to a local save of the same server state. Throws ProtocolError against servers too old
-     * to know the subop (they answer BadRequest).
-     */
-    std::vector<std::uint8_t> fetchSnapshot();
 
     /** Requests in flight per window of predictMany(). */
     static constexpr std::size_t kPipelineWindow = 4096;

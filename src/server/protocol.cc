@@ -54,20 +54,6 @@ appendControlRequest(std::vector<std::uint8_t> &buf, std::uint64_t id, Op op)
     putU16(p, 0); // len
 }
 
-void
-appendSnapshotFetchRequest(std::vector<std::uint8_t> &buf, std::uint64_t id)
-{
-    std::uint8_t *p = growBuf(buf, kRequestHeaderSize + 1);
-    putU64(p, id);
-    *p++ = static_cast<std::uint8_t>(Op::Snapshot);
-    *p++ = 0;     // arch
-    *p++ = 0;     // flags
-    *p++ = 0;     // reserved
-    putU16(p, 0); // config
-    putU16(p, 1); // len: one subop byte
-    *p = kSnapshotSubopFetch;
-}
-
 RequestHeader
 parseRequestHeader(const std::uint8_t *p)
 {
@@ -160,15 +146,15 @@ appendStatsResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
     putU64(p, stats.epollWakeups);
     putU64(p, stats.shortWrites);
     putU64(p, stats.ringFull);
-    putU64(p, stats.reconnects);
-    putU64(p, stats.retriedRequests);
+    putU64(p, 0); // retired slot 18
+    putU64(p, 0); // retired slot 19
     putU64(p, stats.drainSheds);
     putU64(p, stats.snapshotFallbacks);
     putU64(p, stats.snapshotLoadMode);
-    putU64(p, stats.snapshotFetchesServed);
+    putU64(p, 0); // retired slot 23
     putU64(p, stats.routedPredicts);
     putU64(p, stats.backendFailovers);
-    putU64(p, stats.convergenceMerges);
+    putU64(p, 0); // retired slot 26
 }
 
 void
@@ -181,43 +167,6 @@ appendHealthResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
     *p++ = static_cast<std::uint8_t>(Op::Health);
     putU16(p, 1);
     *p = static_cast<std::uint8_t>(state);
-}
-
-void
-appendSnapshotStream(std::vector<std::uint8_t> &buf, std::uint64_t id,
-                     const std::uint8_t *image, std::size_t size)
-{
-    std::size_t offset = 0;
-    do {
-        const std::size_t n = std::min(kSnapshotChunkBytes, size - offset);
-        std::uint8_t *p = growBuf(
-            buf, kResponseHeaderSize + kSnapshotChunkHeaderSize + n);
-        putU64(p, id);
-        *p++ = static_cast<std::uint8_t>(Status::Ok);
-        *p++ = static_cast<std::uint8_t>(Op::Snapshot);
-        putU16(p,
-               static_cast<std::uint16_t>(kSnapshotChunkHeaderSize + n));
-        putU64(p, size);
-        putU64(p, offset);
-        if (n > 0)
-            std::memcpy(p, image + offset, n);
-        offset += n;
-    } while (offset < size);
-}
-
-std::optional<SnapshotChunk>
-decodeSnapshotChunk(const std::uint8_t *p, std::size_t len)
-{
-    if (len < kSnapshotChunkHeaderSize)
-        return std::nullopt;
-    SnapshotChunk c;
-    c.totalBytes = getU64(p);
-    c.offset = getU64(p + 8);
-    c.data = p + kSnapshotChunkHeaderSize;
-    c.len = len - kSnapshotChunkHeaderSize;
-    if (c.offset > c.totalBytes || c.len > c.totalBytes - c.offset)
-        return std::nullopt;
-    return c;
 }
 
 std::optional<HealthState>
@@ -320,24 +269,19 @@ decodeStatsPayload(const std::uint8_t *p, std::size_t len)
         s.shortWrites = getU64(p + 128);
     if (fields > 17)
         s.ringFull = getU64(p + 136);
-    if (fields > 18)
-        s.reconnects = getU64(p + 144);
-    if (fields > 19)
-        s.retriedRequests = getU64(p + 152);
+    // Slots 18 and 19 are retired: skipped.
     if (fields > 20)
         s.drainSheds = getU64(p + 160);
     if (fields > 21)
         s.snapshotFallbacks = getU64(p + 168);
     if (fields > 22)
         s.snapshotLoadMode = getU64(p + 176);
-    if (fields > 23)
-        s.snapshotFetchesServed = getU64(p + 184);
+    // Slot 23 is retired: skipped.
     if (fields > 24)
         s.routedPredicts = getU64(p + 192);
     if (fields > 25)
         s.backendFailovers = getU64(p + 200);
-    if (fields > 26)
-        s.convergenceMerges = getU64(p + 208);
+    // Slot 26 is retired: skipped.
     return s;
 }
 

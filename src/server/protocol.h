@@ -16,8 +16,7 @@
  *   offset 8   u8   op       1=PREDICT  2=STATS  3=PING  4=SNAPSHOT
  *                            (admin; see "SNAPSHOT subops" below:
  *                            persist a warm-start snapshot to the
- *                            operator-configured snapshotPath, or
- *                            stream the live image to the caller)
+ *                            operator-configured snapshotPath)
  *                            5=HEALTH (readiness probe: payload is one
  *                            u8, 1=READY 2=DRAINING; a router shards
  *                            traffic away from draining replicas)
@@ -58,12 +57,14 @@
  *   i32  criticalChain[nCriticalChain]
  *   i32  contendingInsts[nContendingInsts]
  *
- * STATS response payload: ServerStats as kStatsFields (27) u64 fields
- * in declaration order. The payload is append-only — decoders accept
- * any whole-u64 payload of at least kStatsFieldsV1 (15) fields, so
- * mixed-version client/server pairs interoperate. PING response
- * payload: empty. HEALTH response payload: one u8 readiness state
- * (decoders must tolerate longer payloads — append-only, like STATS).
+ * STATS response payload: kStatsFields (27) u64 slots — ServerStats in
+ * declaration order, plus four retired slots (18, 19, 23 and 26) that
+ * always encode 0 and that decoders skip. The payload is append-only —
+ * decoders accept any whole-u64 payload of at least kStatsFieldsV1
+ * (15) fields, so mixed-version client/server pairs interoperate. PING
+ * response payload: empty. HEALTH response payload: one u8 readiness
+ * state (decoders must tolerate longer payloads — append-only, like
+ * STATS).
  *
  * SNAPSHOT subops (the first request-payload byte; an empty payload
  * means SAVE for compatibility with pre-cluster clients):
@@ -73,24 +74,8 @@
  *              snapshotPath; answers BAD_REQUEST when no path is
  *              configured or the save fails. The path is never taken
  *              from the wire.
- *   1 = FETCH  stream the live snapshot image (the current version) to
- *              the caller: the response is a SEQUENCE of frames, all
- *              carrying the request id, op SNAPSHOT, status OK, each
- *              with a chunk payload
- *
- *                  u64 totalBytes   image size, same in every chunk
- *                  u64 offset       byte offset of this chunk's data
- *                  data             <= len - 16 image bytes, in order
- *
- *              The stream is complete when offset + data length ==
- *              totalBytes (a zero-byte image is one data-less chunk).
- *              This is how a new replica bootstraps: fetch a peer's
- *              image, validate, land it on disk, and warm-start
- *              bit-identically through the normal load path.
- *              Servers that predate the subop answer BAD_REQUEST —
- *              callers fall back to a cold start.
- *
- *   Other subop values answer BAD_REQUEST.
+ *   Other subop values answer BAD_REQUEST, including 1 (the retired
+ *   FETCH subop, which once streamed the live image back).
  *
  * A malformed-but-well-framed block (decode error) is NOT a protocol
  * error: it follows the engine's crash protocol and yields status OK
@@ -169,7 +154,7 @@ class ProtocolError : public std::runtime_error
     Status status() const { return status_; }
 
     /**
-     * Retryable-vs-fatal taxonomy for self-healing clients: a shed
+     * Retryable-vs-fatal taxonomy for callers that retry: a shed
      * (Overloaded/Draining) is the server explicitly asking for a
      * retry after backoff; everything else — BadRequest, malformed
      * payloads, id mismatches — will fail the same way again and must
@@ -188,8 +173,7 @@ class ProtocolError : public std::runtime_error
  * Typed transport fault: the connection itself failed (reset, refused,
  * unexpected EOF, poll timeout) rather than the protocol being spoken
  * wrong. Always retryable after a reconnect — PREDICT is pure, so a
- * self-healing client may replay in-flight requests on a fresh
- * connection (ResilientClient does exactly that).
+ * caller may replay in-flight requests on a fresh connection.
  */
 class TransportError : public std::runtime_error
 {
@@ -205,17 +189,9 @@ inline constexpr std::uint8_t kFlagExplain = 1u << 1;
 
 /** SNAPSHOT request subops (first payload byte; empty payload = SAVE). */
 inline constexpr std::uint8_t kSnapshotSubopSave = 0;
-inline constexpr std::uint8_t kSnapshotSubopFetch = 1;
 
 inline constexpr std::size_t kRequestHeaderSize = 16;
 inline constexpr std::size_t kResponseHeaderSize = 12;
-
-/** Fixed prefix of a SNAPSHOT-fetch chunk payload (totalBytes, offset). */
-inline constexpr std::size_t kSnapshotChunkHeaderSize = 16;
-
-/** Image bytes per SNAPSHOT-fetch chunk (payload len is a u16). */
-inline constexpr std::size_t kSnapshotChunkBytes =
-    65535 - kSnapshotChunkHeaderSize;
 
 /** Upper bound on block bytes per request (BHive blocks are ~10-60). */
 inline constexpr std::size_t kMaxBlockBytes = 4096;
@@ -269,12 +245,8 @@ struct ServerStats
     std::uint64_t shortWrites = 0;  ///< partial writev: EPOLLOUT resume
     std::uint64_t ringFull = 0;     ///< admission-ring capacity rejections
 
-    // Fault-tolerance counters (appended in PR 8). The first two are
-    // client-side: a server always reports 0 there, and
-    // ResilientClient::stats() fills in its own reconnect/retry tallies
-    // so one struct describes the whole path end to end.
-    std::uint64_t reconnects = 0;        ///< client: successful reconnects
-    std::uint64_t retriedRequests = 0;   ///< client: requests re-sent
+    // Fault-tolerance counters. Wire slots 18 and 19, before them,
+    // are retired and encode 0.
     std::uint64_t drainSheds = 0;        ///< PREDICTs answered DRAINING
     std::uint64_t snapshotFallbacks = 0; ///< warm-start generations skipped
 
@@ -286,24 +258,20 @@ struct ServerStats
      */
     std::uint64_t snapshotLoadMode = 0;
 
-    // Cluster-mode counters (appended in PR 10). routedPredicts and
-    // backendFailovers are router-side: a backend server always
-    // reports 0 there and facile_lb fills them in, mirroring how
-    // ResilientClient owns reconnects/retriedRequests. The convergence
-    // counter is likewise owned by the replica's ConvergenceLoop.
-    std::uint64_t snapshotFetchesServed = 0; ///< SNAPSHOT FETCH streams
-    std::uint64_t routedPredicts = 0;        ///< router: PREDICTs forwarded
-    std::uint64_t backendFailovers = 0;      ///< router: in-flight replays
-    std::uint64_t convergenceMerges = 0;     ///< replica: union folds done
+    // Cluster-mode counters. Wire slots 23 and 26, around them, are
+    // retired and encode 0. Both are router-side: a backend server
+    // always reports 0 there and facile_lb fills them in.
+    std::uint64_t routedPredicts = 0;   ///< router: PREDICTs forwarded
+    std::uint64_t backendFailovers = 0; ///< router: in-flight replays
 };
 
 /**
- * Number of u64 fields in the STATS response payload. The payload is
- * append-only: kStatsFieldsV1 is the thread-per-connection era field
- * count, and decodeStatsPayload accepts any whole-u64 payload of at
- * least that many fields (missing trailing fields read 0, unknown
- * extras are ignored), so client and server can be upgraded
- * independently.
+ * Number of u64 slots in the STATS response payload: ServerStats's
+ * fields plus the four retired slots. The payload is append-only:
+ * kStatsFieldsV1 is the thread-per-connection era field count, and
+ * decodeStatsPayload accepts any whole-u64 payload of at least that
+ * many fields (missing trailing fields read 0, unknown extras are
+ * ignored), so client and server can be upgraded independently.
  */
 inline constexpr std::size_t kStatsFields = 27;
 inline constexpr std::size_t kStatsFieldsV1 = 15;
@@ -377,10 +345,6 @@ void appendPredictRequest(std::vector<std::uint8_t> &buf, std::uint64_t id,
 void appendControlRequest(std::vector<std::uint8_t> &buf, std::uint64_t id,
                           Op op);
 
-/** Append a SNAPSHOT request carrying the FETCH subop byte. */
-void appendSnapshotFetchRequest(std::vector<std::uint8_t> &buf,
-                                std::uint64_t id);
-
 /** Parse a request header from kRequestHeaderSize bytes. */
 RequestHeader parseRequestHeader(const std::uint8_t *p);
 
@@ -406,32 +370,6 @@ void appendStatsResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
 /** Append a HEALTH response frame (payload: one readiness u8). */
 void appendHealthResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
                           HealthState state);
-
-/**
- * Append the complete SNAPSHOT-fetch response stream for @p image:
- * one chunk frame per kSnapshotChunkBytes, all carrying @p id (a
- * zero-byte image yields a single data-less chunk, so the stream end
- * is always detectable).
- */
-void appendSnapshotStream(std::vector<std::uint8_t> &buf, std::uint64_t id,
-                          const std::uint8_t *image, std::size_t size);
-
-/** One decoded SNAPSHOT-fetch chunk; data points into the payload. */
-struct SnapshotChunk
-{
-    std::uint64_t totalBytes = 0;
-    std::uint64_t offset = 0;
-    const std::uint8_t *data = nullptr;
-    std::size_t len = 0;
-};
-
-/**
- * Decode one SNAPSHOT-fetch chunk payload. nullopt when the payload is
- * shorter than the chunk header or internally inconsistent (offset or
- * data extending past totalBytes).
- */
-std::optional<SnapshotChunk> decodeSnapshotChunk(const std::uint8_t *p,
-                                                 std::size_t len);
 
 /**
  * Decode a HEALTH response payload. Tolerates future append-only

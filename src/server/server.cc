@@ -163,7 +163,6 @@ struct PredictionServer::Impl
     std::atomic<std::uint64_t> drainSheds{0};
     std::atomic<std::uint64_t> snapshotFallbacks{0};
     std::atomic<std::uint64_t> snapshotLoadMode{0};
-    std::atomic<std::uint64_t> snapshotFetches{0};
 
     mutable std::mutex statsMu;
     ServerStats counters; ///< batch-grained; merged on read
@@ -610,11 +609,10 @@ struct PredictionServer::Impl
             return;
           case Op::Snapshot:
             // Admin frame, dispatched on the first payload byte (an
-            // empty payload is the pre-subop SAVE encoding). Both
-            // subops run on this io thread — rare by construction;
-            // they stall this loop's connections for the few ms of
-            // the save while other loops and the collector keep
-            // serving.
+            // empty payload is the pre-subop SAVE encoding). SAVE runs
+            // on this io thread — rare by construction; it stalls
+            // this loop's connections for the few ms of the save while
+            // other loops and the collector keep serving.
             if (h.len == 0 || payload[0] == kSnapshotSubopSave) {
                 // SAVE: path is operator-configured, never
                 // wire-supplied.
@@ -622,11 +620,9 @@ struct PredictionServer::Impl
                                      saveSnapshotNow()
                                          ? Status::Ok
                                          : Status::BadRequest);
-            } else if (payload[0] == kSnapshotSubopFetch) {
-                serveSnapshotFetch(h.id, reply);
             } else {
-                // A subop this build doesn't know: reject rather
-                // than guess (the requester may be newer than us).
+                // Any other subop, including the retired FETCH byte:
+                // reject rather than guess.
                 appendStatusResponse(reply, h.id, Op::Snapshot,
                                      Status::BadRequest);
             }
@@ -931,32 +927,6 @@ struct PredictionServer::Impl
         }
     }
 
-    /**
-     * SNAPSHOT-fetch subop: serialize the live universe to an image
-     * in memory and stream it back as chunk frames. The image is
-     * byte-deterministic, so a wire fetch digests identically to a
-     * local save of the same state.
-     */
-    void
-    serveSnapshotFetch(std::uint64_t id, std::vector<std::uint8_t> &reply)
-    {
-        std::vector<std::uint8_t> img;
-        {
-            std::lock_guard<std::mutex> lock(snapshotMu);
-            try {
-                img = analysis::saveSnapshotToMemory({engine, 1});
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "snapshot fetch failed: %s\n",
-                             e.what());
-                appendStatusResponse(reply, id, Op::Snapshot,
-                                     Status::BadRequest);
-                return;
-            }
-        }
-        appendSnapshotStream(reply, id, img.data(), img.size());
-        snapshotFetches.fetch_add(1, std::memory_order_relaxed);
-    }
-
     // ---- stats ------------------------------------------------------------
 
     ServerStats
@@ -983,19 +953,13 @@ struct PredictionServer::Impl
         s.epollWakeups = epollWakeups.load(std::memory_order_relaxed);
         s.shortWrites = shortWrites.load(std::memory_order_relaxed);
         s.ringFull = ringFull.load(std::memory_order_relaxed);
-        // reconnects/retriedRequests are client-side counters; a
-        // server always reports 0 (ResilientClient::stats() fills
-        // them in on its side of the wire).
         s.drainSheds = drainSheds.load(std::memory_order_relaxed);
         s.snapshotFallbacks =
             snapshotFallbacks.load(std::memory_order_relaxed);
         s.snapshotLoadMode =
             snapshotLoadMode.load(std::memory_order_relaxed);
-        s.snapshotFetchesServed =
-            snapshotFetches.load(std::memory_order_relaxed);
-        // routedPredicts/backendFailovers/convergenceMerges are
-        // router- and replica-daemon-side counters (cluster::Router,
-        // cluster::ConvergenceLoop); a backend server reports 0.
+        // routedPredicts/backendFailovers are router-side counters
+        // (cluster::Router); a backend server reports 0.
         s.uptimeMs = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 Clock::now() - startTime)

@@ -86,9 +86,7 @@ writeAtomic(const std::string &path, const std::vector<std::uint8_t> &bytes)
 // ---- canonical model (merge / compact) -------------------------------------
 //
 // The set/union layer itself lives in the library
-// (analysis::SnapshotModelSet) — it doubles as the cluster-mode
-// replica-convergence primitive, so the tool and the ConvergenceLoop
-// merge identically by construction.
+// (analysis::SnapshotModelSet), next to the image parser and builder.
 
 using ModelSet = facile::analysis::SnapshotModelSet;
 

@@ -47,12 +47,11 @@ inline constexpr int kWideDivComputeUops = 36;
 
 /**
  * Most port µops lookup() gives one instruction: a 64-bit DIV/IDIV's
- * compute µops plus, with a memory operand, a load and the
- * store-address/store-data pair (the database treats a memory
- * destination as stored). A macro-fused pair merges fewer: at most a
- * load, a store pair and one branch µop.
+ * compute µops plus, with a memory operand, its load (the operand is
+ * only read, so there is no store pair). A macro-fused pair merges
+ * fewer: at most a load, a store pair and one branch µop.
  */
-inline constexpr std::size_t kMaxPortUops = kWideDivComputeUops + 3;
+inline constexpr std::size_t kMaxPortUops = kWideDivComputeUops + 1;
 
 /** An instruction's port µops, held inline. */
 using PortUops = support::InlineVec<Uop, kMaxPortUops>;

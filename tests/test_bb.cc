@@ -2,7 +2,8 @@
  * @file
  * Basic-block layer tests: decode+annotate pipeline, byte offsets,
  * macro-fusion folding, µop totals, JCC-erratum boundary detection,
- * the stored read/write sets, and annotation edits.
+ * the stored read/write sets, annotation edits, and the packed
+ * operand layout.
  */
 #include <gtest/gtest.h>
 
@@ -199,6 +200,15 @@ TEST(BasicBlock, AnalyzeStoresEachInstructionsSets)
         EXPECT_EQ(blk.insts[i].rw.depBreaking, want.depBreaking) << i;
     }
     EXPECT_TRUE(blk.insts[1].rw.depBreaking);
+}
+
+TEST(BasicBlock, OperandsArePacked)
+{
+    // Every analyzed instruction holds its operands by value in the
+    // block's one array, so their padding is paid per instruction:
+    // ordered widest field first, MemOp is 12 bytes and Operand 24.
+    EXPECT_LE(sizeof(MemOp), 12u);
+    EXPECT_LE(sizeof(Operand), 24u);
 }
 
 TEST(BasicBlock, EmptyBlockTotalsAreZero)

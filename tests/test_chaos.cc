@@ -2,15 +2,15 @@
  * @file
  * Chaos soak: the end-to-end fault-tolerance property the rest of the
  * robustness layer exists to serve. A prediction server runs in a
- * CHILD process; a fleet of self-healing clients (ResilientClient,
- * connection count adapted to RLIMIT_NOFILE toward a 256-connection
- * target) sustains pipelined traffic against it. Once a quarter of a
- * pass's operations have completed, the parent SIGKILLs the server,
- * tears the primary snapshot file the way a mid-write kill would, and
- * respawns the server warm — it must fall back to the previous
- * snapshot generation, and every client must reconnect and replay
- * with ZERO caller-visible failures and bit-identical predictions
- * throughout.
+ * CHILD process; a fleet of plain Clients (connection count adapted to
+ * RLIMIT_NOFILE toward a 256-connection target), each behind a small
+ * test-local replay loop, sustains pipelined traffic against it. Once
+ * a quarter of a pass's operations have completed, the parent
+ * SIGKILLs the server, tears the primary snapshot file the way a
+ * mid-write kill would, and respawns the server warm — it must fall
+ * back to the previous snapshot generation, and every client must
+ * reconnect and replay with ZERO failed operations and bit-identical
+ * predictions throughout.
  *
  * In FACILE_FAULT_INJECT builds the child additionally runs with
  * env-armed chaos (FACILE_FAULT_SEED / FACILE_FAULT_ONE_IN): seeded
@@ -36,14 +36,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/snapshot.h"
 #include "bhive/generator.h"
 #include "facile/component.h"
-#include "server/resilient_client.h"
+#include "server/client.h"
 #include "server/server.h"
 
 namespace facile::server {
@@ -139,6 +141,53 @@ waitForServer(const std::string &path)
     return false;
 }
 
+/**
+ * One fleet connection behind a test-local replay loop: on a
+ * TransportError it drops the socket, sleeps a few ms, reconnects and
+ * re-sends the whole operation, until a deadline. PREDICT is pure, so
+ * a replay is safe. Any other error reaches the caller.
+ */
+class ReplayingClient
+{
+  public:
+    explicit ReplayingClient(std::string path) : path_(std::move(path)) {}
+
+    /** Run op(client) to completion, replaying it on transport faults. */
+    template <class Op>
+    auto
+    run(Op &&op)
+    {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        for (bool faulted = false;; faulted = true) {
+            try {
+                if (!conn_) {
+                    conn_.emplace(Client::connectUnix(path_));
+                    if (dialed_)
+                        ++reconnects;
+                    dialed_ = true;
+                }
+                if (faulted)
+                    ++replays;
+                return op(*conn_);
+            } catch (const TransportError &) {
+                conn_.reset();
+                if (std::chrono::steady_clock::now() >= deadline)
+                    throw;
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+        }
+    }
+
+    std::uint64_t reconnects = 0; ///< successful dials after the first
+    std::uint64_t replays = 0;    ///< operations re-sent after a fault
+
+  private:
+    std::string path_;
+    std::optional<Client> conn_;
+    bool dialed_ = false;
+};
+
 void
 removeSnapshotGenerations(const std::string &snap)
 {
@@ -146,14 +195,14 @@ removeSnapshotGenerations(const std::string &snap)
         std::remove(analysis::snapshotGenerationPath(snap, g).c_str());
 }
 
-TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
+TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndEveryClientReconnects)
 {
     const std::string sock = chaosSockPath();
     const std::string snap = chaosSnapPath();
     removeSnapshotGenerations(snap);
 
     // Fleet sizing toward the 256-connection target, adapted to the
-    // parent's fd budget (each ResilientClient holds one socket).
+    // parent's fd budget (each client holds one socket).
     rlimit rl{};
     ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &rl), 0);
     const std::size_t fleet = std::min<std::size_t>(
@@ -180,27 +229,18 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     ASSERT_GT(server, 0);
     ASSERT_TRUE(waitForServer(sock)) << "cold server never came up";
 
-    RetryPolicy policy;
-    policy.initialBackoff = std::chrono::milliseconds(5);
-    policy.maxAttempts = 200;
-    policy.opDeadline = std::chrono::seconds(60);
-
-    std::vector<std::vector<ResilientClient>> fleetByThread(threads);
+    std::vector<std::vector<ReplayingClient>> fleetByThread(threads);
     for (std::size_t t = 0; t < threads; ++t)
-        for (std::size_t c = t; c < fleet; c += threads) {
-            RetryPolicy p = policy;
-            p.jitterSeed = 0x9e3779b97f4a7c15ULL + c; // de-correlate
-            fleetByThread[t].push_back(
-                ResilientClient::forUnix(sock, p));
-        }
+        for (std::size_t c = t; c < fleet; c += threads)
+            fleetByThread[t].emplace_back(sock);
 
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::size_t> opFailures{0};
     std::atomic<std::size_t> opsDone{0}; // completed fleet operations
-    auto runOp = [&](ResilientClient &client,
+    auto runOp = [&](ReplayingClient &client,
                      std::vector<model::Prediction> &out) {
         try {
-            client.predictManyInto(batch, out);
+            client.run([&](Client &c) { c.predictManyInto(batch, out); });
         } catch (const std::exception &) {
             ++opFailures;
             return;
@@ -238,20 +278,20 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     // the fallback. Saves may fail transiently under injected chaos —
     // retry; what matters is that two eventually commit.
     {
-        auto admin = ResilientClient::forUnix(sock, policy);
+        ReplayingClient admin(sock);
         int saves = 0;
         for (int tries = 0; saves < 2 && tries < 200; ++tries)
-            if (admin.snapshot())
+            if (admin.run([](Client &c) { return c.snapshot(); }))
                 ++saves;
         ASSERT_EQ(saves, 2) << "server never committed two snapshots";
     }
 
-    auto retriedSoFar = [&] {
-        std::uint64_t retried = 0;
+    auto fleetTotal = [&](std::uint64_t ReplayingClient::*counter) {
+        std::uint64_t sum = 0;
         for (auto &perThread : fleetByThread)
             for (auto &client : perThread)
-                retried += client.selfHealStats().retriedRequests;
-        return retried;
+                sum += client.*counter;
+        return sum;
     };
 
     // ---- phase 2: SIGKILL mid-traffic, tear the snapshot, respawn -
@@ -261,7 +301,8 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     constexpr std::size_t kPass2Iterations = 4;
     const std::size_t killAt =
         opsDone.load() + kPass2Iterations * fleet / 4;
-    const std::uint64_t retriedBefore = retriedSoFar();
+    const std::uint64_t replaysBefore =
+        fleetTotal(&ReplayingClient::replays);
     std::thread chaos([&] {
         for (std::size_t done; (done = opsDone.load()) < killAt;)
             opsDone.wait(done);
@@ -283,8 +324,8 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     });
     runPass(kPass2Iterations); // the kill lands inside this pass
     chaos.join();
-    EXPECT_GT(retriedSoFar(), retriedBefore)
-        << "no request was replayed during the pass the kill landed in";
+    EXPECT_GT(fleetTotal(&ReplayingClient::replays), replaysBefore)
+        << "no batch was replayed during the pass the kill landed in";
 
     // One more full pass with the warm server definitely up: any
     // client that finished pass 2 before the kill still holds a dead
@@ -294,22 +335,17 @@ TEST(ChaosSoak, SigkillUnderLoadRestartsWarmAndFleetSelfHeals)
     EXPECT_EQ(mismatches.load(), 0u)
         << "predictions diverged across the crash";
     EXPECT_EQ(opFailures.load(), 0u)
-        << "self-healing leaked a failure to a caller";
+        << "an operation failed despite reconnect and replay";
 
-    // The healing really happened and is observable: clients
-    // reconnected, and the warm restart fell back past the torn
-    // primary (server-side counter over the wire, client counters
-    // merged in by ResilientClient::stats()).
-    std::uint64_t reconnects = 0;
-    for (auto &perThread : fleetByThread)
-        for (auto &client : perThread)
-            reconnects += client.selfHealStats().reconnects;
-    EXPECT_GE(reconnects, fleet)
+    // The recovery really happened and is observable: every client
+    // reconnected and replayed, and the warm restart fell back past
+    // the torn primary (server-side counter over the wire).
+    EXPECT_GE(fleetTotal(&ReplayingClient::reconnects), fleet)
         << "every held connection died with the server";
-    EXPECT_GE(retriedSoFar(), fleet * batch.size());
+    EXPECT_GE(fleetTotal(&ReplayingClient::replays), fleet);
 
-    auto admin = ResilientClient::forUnix(sock, policy);
-    ServerStats s = admin.stats();
+    ReplayingClient admin(sock);
+    ServerStats s = admin.run([](Client &c) { return c.stats(); });
     EXPECT_GE(s.snapshotFallbacks, 1u)
         << "warm start did not use the generation fallback";
     EXPECT_EQ(s.drainSheds, 0u);

@@ -20,6 +20,9 @@
  *
  * Each digest is what this test computed when its set was added. A
  * change that means to alter predictions must update it and say why.
+ * kCapacityEdgeDigest moved once, when the one-operand DIV/IDIV memory
+ * forms lost the store-address/store-data pair they never had on
+ * hardware; the set without those forms digests as before.
  */
 #include <gtest/gtest.h>
 
@@ -40,7 +43,7 @@ namespace facile {
 namespace {
 
 constexpr std::uint64_t kGoldenDigest = 0x62af092547d8db59ULL;
-constexpr std::uint64_t kCapacityEdgeDigest = 0x2baa673483696a40ULL;
+constexpr std::uint64_t kCapacityEdgeDigest = 0x7feb596a336d4f36ULL;
 
 /** Every request of the golden set, in a fixed order. */
 std::vector<engine::Request>
@@ -70,7 +73,8 @@ capacityEdgeBodies()
     using namespace isa;
     using M_ = Mnemonic;
     return {
-        // The longest port-µop lists: 64-bit DIV/IDIV with memory.
+        // The longest port-µop lists: 64-bit DIV/IDIV with memory
+        // (compute µops plus one load; the operand is only read).
         {make(M_::DIV, {M(mem(RBX, 8, 8))}),
          make(M_::ADD, {R(RAX), R(RDX)}),
          make(M_::IDIV, {M(memIdx(RSI, RCX, 8, 16, 8))})},

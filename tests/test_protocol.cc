@@ -171,42 +171,64 @@ TEST(FrameParser, CompactionPreservesPendingPartialFrame)
     EXPECT_EQ(frames[0].second[0], 99);
 }
 
+/** Every ServerStats field, in wire order (the retired slots skipped). */
+std::vector<std::uint64_t *>
+statsFields(ServerStats &s)
+{
+    return {&s.requests, &s.predictions, &s.batches, &s.maxBatch,
+            &s.analysisCacheHits, &s.predictionCacheHits, &s.analyzed,
+            &s.overloadedQueue, &s.overloadedConn, &s.readTimeouts,
+            &s.quotaClosed, &s.connectionsShed, &s.connectionsAccepted,
+            &s.connectionsOpen, &s.uptimeMs, &s.epollWakeups,
+            &s.shortWrites, &s.ringFull, &s.drainSheds,
+            &s.snapshotFallbacks, &s.snapshotLoadMode, &s.routedPredicts,
+            &s.backendFailovers};
+}
+
 TEST(Protocol, StatsPayloadRoundTripsAllCounters)
 {
     ServerStats s;
     std::uint64_t v = 1;
-    for (std::uint64_t *field :
-         {&s.requests, &s.predictions, &s.batches, &s.maxBatch,
-          &s.analysisCacheHits, &s.predictionCacheHits, &s.analyzed,
-          &s.overloadedQueue, &s.overloadedConn, &s.readTimeouts,
-          &s.quotaClosed, &s.connectionsShed, &s.connectionsAccepted,
-          &s.connectionsOpen, &s.uptimeMs, &s.epollWakeups,
-          &s.shortWrites, &s.ringFull, &s.reconnects, &s.retriedRequests,
-          &s.drainSheds, &s.snapshotFallbacks, &s.snapshotLoadMode})
+    for (std::uint64_t *field : statsFields(s))
         *field = v++;
 
     std::vector<std::uint8_t> frame;
     appendStatsResponse(frame, 5, s);
     ResponseHeader h = parseResponseHeader(frame.data());
     ASSERT_EQ(h.len, kStatsFields * 8);
-    auto back =
-        decodeStatsPayload(frame.data() + kResponseHeaderSize, h.len);
+    std::vector<std::uint8_t> payload(frame.begin() + kResponseHeaderSize,
+                                      frame.end());
+
+    // Slots 18, 19, 23 and 26 are retired and encode 0; every other
+    // slot carries the next field in declaration order.
+    const auto retired = [](std::size_t slot) {
+        return slot == 18 || slot == 19 || slot == 23 || slot == 26;
+    };
+    std::uint64_t want = 1;
+    for (std::size_t slot = 0; slot < kStatsFields; ++slot)
+        EXPECT_EQ(getU64(payload.data() + 8 * slot),
+                  retired(slot) ? 0 : want++)
+            << "slot " << slot;
+    EXPECT_EQ(want, statsFields(s).size() + 1);
+
+    auto back = decodeStatsPayload(payload.data(), payload.size());
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->requests, 1u);
-    EXPECT_EQ(back->overloadedQueue, 8u);
-    EXPECT_EQ(back->overloadedConn, 9u);
-    EXPECT_EQ(back->readTimeouts, 10u);
-    EXPECT_EQ(back->quotaClosed, 11u);
-    EXPECT_EQ(back->connectionsShed, 12u);
-    EXPECT_EQ(back->uptimeMs, 15u);
-    EXPECT_EQ(back->epollWakeups, 16u);
-    EXPECT_EQ(back->shortWrites, 17u);
-    EXPECT_EQ(back->ringFull, 18u);
-    EXPECT_EQ(back->reconnects, 19u);
-    EXPECT_EQ(back->retriedRequests, 20u);
-    EXPECT_EQ(back->drainSheds, 21u);
-    EXPECT_EQ(back->snapshotFallbacks, 22u);
-    EXPECT_EQ(back->snapshotLoadMode, 23u);
+    const auto sent = statsFields(s), got = statsFields(*back);
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        EXPECT_EQ(*got[i], *sent[i]) << "field " << i;
+
+    // An older server may still send nonzero values in the retired
+    // slots: the payload decodes, and no value leaks into a field.
+    for (std::size_t slot = 0; slot < kStatsFields; ++slot)
+        if (retired(slot)) {
+            std::uint8_t *q = payload.data() + 8 * slot;
+            putU64(q, 1000 + slot);
+        }
+    auto old = decodeStatsPayload(payload.data(), payload.size());
+    ASSERT_TRUE(old.has_value());
+    const auto oldGot = statsFields(*old);
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        EXPECT_EQ(*oldGot[i], *sent[i]) << "field " << i;
 }
 
 TEST(Protocol, StatsPayloadIsAppendOnlyAcrossVersions)

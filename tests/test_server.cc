@@ -28,7 +28,6 @@
 #include "facile/component.h"
 #include "server/client.h"
 #include "server/net_util.h"
-#include "server/resilient_client.h"
 #include "server/server.h"
 
 namespace facile::server {
@@ -784,7 +783,7 @@ TEST(ServerEventLoop, StatsCountersTravelTheWire)
     server.stop();
 }
 
-// ---- graceful degradation: drain mode, HEALTH, self-healing client --------
+// ---- graceful degradation: drain mode, HEALTH ----------------------------
 
 TEST(ServerDrain, ShedsPredictsKeepsControlOpsAndRefusesNewConnections)
 {
@@ -833,9 +832,6 @@ TEST(ServerDrain, ShedsPredictsKeepsControlOpsAndRefusesNewConnections)
     ServerStats s = client.stats();
     EXPECT_GE(s.drainSheds, 1u);
     EXPECT_GE(s.connectionsShed, 1u);
-    // The client-side resilience counters are zeros from a server.
-    EXPECT_EQ(s.reconnects, 0u);
-    EXPECT_EQ(s.retriedRequests, 0u);
     server.stop();
 }
 
@@ -887,144 +883,6 @@ TEST(ClientSigpipe, ClosedPeerThrowsTypedTransportErrorNotSignal)
         }
     }
     EXPECT_TRUE(threw) << "dead peer never surfaced as TransportError";
-}
-
-TEST(SelfHeal, ResilientClientMatchesSerialAndMergesLocalCounters)
-{
-    ServerOptions opts;
-    opts.unixPath = freshUnixPath();
-    engine::PredictionEngine eng({.numThreads = 2});
-    opts.engine = &eng;
-    PredictionServer server(opts);
-    server.start();
-
-    auto rc = ResilientClient::forUnix(opts.unixPath);
-    EXPECT_FALSE(rc.connected()) << "construction must not dial";
-
-    std::vector<engine::Request> reqs;
-    for (const auto &b : suite())
-        reqs.push_back({b.bytesL, uarch::UArch::ICL, true, {}});
-    const auto out = rc.predictMany(reqs);
-    ASSERT_EQ(out.size(), reqs.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_TRUE(bitIdentical(out[i], serialPredict(reqs[i]))) << i;
-    EXPECT_TRUE(rc.connected());
-
-    // An undisturbed run heals nothing and retries nothing.
-    EXPECT_EQ(rc.selfHealStats().reconnects, 0u);
-    EXPECT_EQ(rc.selfHealStats().retriedRequests, 0u);
-    EXPECT_EQ(rc.stats().reconnects, 0u);
-    server.stop();
-}
-
-TEST(SelfHeal, ReconnectsAndReplaysAcrossServerRestart)
-{
-    ServerOptions opts;
-    opts.unixPath = freshUnixPath();
-    engine::PredictionEngine eng({.numThreads = 1});
-    opts.engine = &eng;
-
-    RetryPolicy policy;
-    policy.initialBackoff = std::chrono::milliseconds(2);
-    policy.maxAttempts = 64;
-    policy.opDeadline = std::chrono::seconds(30);
-
-    const auto &b = suite().front();
-    std::vector<engine::Request> reqs(
-        3, engine::Request{b.bytesU, uarch::UArch::SKL, false, {}});
-    const Prediction expect = serialPredict(reqs[0]);
-
-    auto rc = ResilientClient::forUnix(opts.unixPath, policy);
-    {
-        PredictionServer server(opts);
-        server.start();
-        for (const auto &p : rc.predictMany(reqs))
-            EXPECT_TRUE(bitIdentical(p, expect));
-        server.stop();
-    }
-    // Server gone: the held connection is dead and the socket file is
-    // unlinked. Bring up a fresh instance on the same path and the
-    // client must reconnect + replay without caller-visible failure.
-    PredictionServer server2(opts);
-    std::thread restarter([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        server2.start();
-    });
-    for (const auto &p : rc.predictMany(reqs))
-        EXPECT_TRUE(bitIdentical(p, expect));
-    restarter.join();
-    EXPECT_GE(rc.selfHealStats().reconnects, 1u);
-    EXPECT_GE(rc.selfHealStats().retriedRequests, reqs.size());
-    // The merged STATS view carries the client-side counters.
-    ServerStats merged = rc.stats();
-    EXPECT_GE(merged.reconnects, 1u);
-    EXPECT_GE(merged.retriedRequests, reqs.size());
-    server2.stop();
-}
-
-TEST(SelfHeal, DrainingServerYieldsTypedRetryableFailure)
-{
-    ServerOptions opts;
-    opts.unixPath = freshUnixPath();
-    engine::PredictionEngine eng({.numThreads = 1});
-    opts.engine = &eng;
-    PredictionServer server(opts);
-    server.start();
-
-    RetryPolicy policy;
-    policy.maxAttempts = 2;
-    policy.initialBackoff = std::chrono::milliseconds(1);
-    auto rc = ResilientClient::forUnix(opts.unixPath, policy);
-    rc.ping(); // dial while the server still accepts
-    server.drain();
-
-    const auto &b = suite().front();
-    try {
-        rc.predict(b.bytesU, uarch::UArch::SKL, false);
-        FAIL() << "expected ProtocolError(Draining) after retries";
-    } catch (const ProtocolError &e) {
-        EXPECT_EQ(e.status(), Status::Draining);
-    }
-    EXPECT_GE(rc.selfHealStats().drainedPeers, 1u);
-    EXPECT_GE(rc.selfHealStats().retries, 1u);
-    server.stop();
-}
-
-TEST(SelfHeal, DeadlineBoundsRetriesAgainstAbsentServer)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = 1000;
-    policy.initialBackoff = std::chrono::milliseconds(10);
-    policy.opDeadline = std::chrono::milliseconds(150);
-    policy.breakerThreshold = 1000; // keep the breaker out of this test
-    auto rc = ResilientClient::forUnix(freshUnixPath(), policy);
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_THROW(rc.ping(), DeadlineError);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_LT(elapsed, std::chrono::seconds(10))
-        << "deadline did not bound the retry loop";
-}
-
-TEST(SelfHeal, CircuitBreakerFailsFastWhenCooldownExceedsDeadline)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = 2;
-    policy.initialBackoff = std::chrono::milliseconds(1);
-    policy.breakerThreshold = 2;
-    policy.breakerCooldown = std::chrono::minutes(10);
-    policy.opDeadline = std::chrono::milliseconds(500);
-    auto rc = ResilientClient::forUnix(freshUnixPath(), policy);
-
-    // First op burns through the attempts and opens the breaker.
-    EXPECT_THROW(rc.ping(), TransportError);
-    EXPECT_GE(rc.selfHealStats().breakerOpens, 1u);
-
-    // Second op cannot outwait a 10-minute cooldown inside a 500 ms
-    // deadline: it must fail fast, not hammer the dead endpoint.
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_THROW(rc.ping(), CircuitOpenError);
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::milliseconds(400));
 }
 
 TEST(ServerWarmStart, TornPrimaryFallsBackAndCountsIt)
@@ -1097,6 +955,51 @@ TEST(ServerWarmStart, TornPrimaryFallsBackAndCountsIt)
         EXPECT_GE(client.stats().snapshotFallbacks, 1u);
         server.stop();
     }
+}
+
+TEST(ServerSnapshot, RetiredFetchSubopIsBadRequestAndConnectionServes)
+{
+    // SNAPSHOT payload byte 1 once streamed the live image back; it is
+    // now an unknown subop. The server must answer one BAD_REQUEST
+    // frame and keep the connection's framing intact.
+    ServerOptions opts;
+    opts.unixPath = freshUnixPath();
+    engine::PredictionEngine eng({.numThreads = 1});
+    opts.engine = &eng;
+    PredictionServer server(opts);
+    server.start();
+
+    const auto &b = suite().front();
+    engine::Request req{b.bytesL, uarch::UArch::SKL, true, {}};
+    eng.predictOne(req); // a non-empty cache, so an image is not empty
+
+    // SNAPSHOT with a one-byte payload: the header's len (offset 14)
+    // is 1, and the byte is 1.
+    std::vector<std::uint8_t> frames;
+    appendControlRequest(frames, 1, Op::Snapshot);
+    const std::uint16_t len = 1;
+    std::memcpy(frames.data() + 14, &len, sizeof len);
+    frames.push_back(1);
+    appendPredictRequest(frames, 2, req);
+
+    int fd = rawConnectUnix(opts.unixPath);
+    ASSERT_TRUE(sendAll(fd, frames.data(), frames.size()));
+    ResponseHeader h;
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(rawReadResponse(fd, h, payload));
+    EXPECT_EQ(h.id, 1u);
+    EXPECT_EQ(h.op, static_cast<std::uint8_t>(Op::Snapshot));
+    EXPECT_EQ(h.status, static_cast<std::uint8_t>(Status::BadRequest));
+    EXPECT_EQ(h.len, 0u);
+
+    ASSERT_TRUE(rawReadResponse(fd, h, payload));
+    EXPECT_EQ(h.id, 2u);
+    EXPECT_EQ(h.status, static_cast<std::uint8_t>(Status::Ok));
+    auto p = decodePredictPayload(payload.data(), h.len);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_TRUE(bitIdentical(*p, serialPredict(req)));
+    ::close(fd);
+    server.stop();
 }
 
 TEST(Protocol, ConfigBitsRoundTrip)

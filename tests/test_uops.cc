@@ -109,12 +109,46 @@ TEST_P(AllArchs, DatabaseInvariants)
     }
 }
 
+TEST_P(AllArchs, OneOperandMulDivMemoryFormsOnlyLoad)
+{
+    // MUL/IMUL/DIV/IDIV r/m read their memory operand and write
+    // rDX:rAX, so lookup gives one load and no store µop. NEG [mem] is
+    // a real read-modify-write and keeps its store pair.
+    const auto &cfg = config(GetParam());
+    const auto count = [](const InstrInfo &info, UopKind kind) {
+        std::size_t n = 0;
+        for (const Uop &u : info.portUops)
+            n += u.kind == kind;
+        return n;
+    };
+    for (Mnemonic m :
+         {Mnemonic::MUL, Mnemonic::IMUL, Mnemonic::DIV, Mnemonic::IDIV})
+        for (int width : {4, 8}) {
+            const Inst inst = make(m, {M(mem(RBX, 8, width))});
+            EXPECT_TRUE(inst.isLoad()) << toString(inst);
+            EXPECT_FALSE(inst.isStore()) << toString(inst);
+            const InstrInfo info = lookup(inst, cfg);
+            EXPECT_EQ(count(info, UopKind::Load), 1u) << toString(inst);
+            EXPECT_EQ(count(info, UopKind::StoreAddr), 0u)
+                << toString(inst);
+            EXPECT_EQ(count(info, UopKind::StoreData), 0u)
+                << toString(inst);
+        }
+    const Inst neg = make(Mnemonic::NEG, {M(mem(RBX, 8))});
+    EXPECT_TRUE(neg.isLoad());
+    EXPECT_TRUE(neg.isStore());
+    const InstrInfo rmw = lookup(neg, cfg);
+    EXPECT_EQ(count(rmw, UopKind::Load), 1u);
+    EXPECT_EQ(count(rmw, UopKind::StoreAddr), 1u);
+    EXPECT_EQ(count(rmw, UopKind::StoreData), 1u);
+}
+
 TEST(UopsDb, WideDivWithMemoryIsTheLargestPortUopList)
 {
     // A 64-bit DIV/IDIV with a memory operand is the database's longest
-    // flow: its compute µops, a load, and — the memory destination
-    // counts as stored — a store-address/store-data pair. The inline
-    // port-µop capacity is exactly that.
+    // flow: its compute µops and a load. The memory operand is only
+    // read, so there is no store pair. The inline port-µop capacity is
+    // exactly that.
     for (Mnemonic m : {Mnemonic::DIV, Mnemonic::IDIV})
         for (UArch a : allUArchs()) {
             const InstrInfo info =
@@ -126,7 +160,7 @@ TEST(UopsDb, WideDivWithMemoryIsTheLargestPortUopList)
                       static_cast<std::size_t>(kWideDivComputeUops));
             EXPECT_EQ(info.portUops.size(), kMaxPortUops);
             EXPECT_EQ(info.portUops.front().kind, UopKind::Load);
-            EXPECT_EQ(info.portUops.back().kind, UopKind::StoreData);
+            EXPECT_EQ(info.portUops.back().kind, UopKind::Compute);
         }
     // No representative form needs more.
     for (const Inst &inst : representativeInsts())
