@@ -442,8 +442,8 @@ main(int argc, char **argv)
     bench::printRule();
 
     // Staged-pipeline counters over the timed serial rounds: how often
-    // the precedence engines were skipped (self-carried-only dependence
-    // graphs) and how the lazy-payload split fell out.
+    // the precedence bound skipped its cycle-mean solve (a diagonal
+    // carried-value matrix) and how the lazy-payload split fell out.
     const std::uint64_t precEvals =
         countersAfter.precedenceEvals - countersBefore.precedenceEvals;
     const std::uint64_t precSkips = countersAfter.precedenceShortCircuits -
@@ -460,7 +460,8 @@ main(int argc, char **argv)
     const std::uint64_t boundPredictsDelta =
         countersAfter.boundPredicts - countersBefore.boundPredicts;
     std::printf("precedence short-circuit: %.1f%% of %llu bound "
-                "evaluations skipped the cycle-ratio engines\n",
+                "evaluations had a diagonal carried-value matrix (no "
+                "cycle-mean solve)\n",
                 100.0 * precSkipRate,
                 static_cast<unsigned long long>(precEvals));
     std::printf("lazy payload: %llu bound-only (timed serial rounds) vs "

@@ -101,10 +101,20 @@ void
 BM_Precedence(benchmark::State &state)
 {
     runComponent(state, false, [](const bb::BasicBlock &b) {
-        return model::precedence(b).throughput;
+        return model::precedenceBound(b);
     });
 }
 BENCHMARK(BM_Precedence);
+
+void
+BM_PrecedenceExplain(benchmark::State &state)
+{
+    model::PrecedenceScratch scratch;
+    runComponent(state, false, [&scratch](const bb::BasicBlock &b) {
+        return model::criticalChain(b, scratch).size();
+    });
+}
+BENCHMARK(BM_PrecedenceExplain);
 
 void
 BM_FacileTpu(benchmark::State &state)

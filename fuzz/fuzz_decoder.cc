@@ -1,8 +1,9 @@
 /**
  * @file
- * Fuzz harness for the decode → analyze path — the first consumer of
- * untrusted block bytes (the server hands PREDICT payloads straight to
- * bb::analyze).
+ * Fuzz harness for the decode → analyze → precedence path — the first
+ * consumer of untrusted block bytes (the server hands PREDICT payloads
+ * straight to bb::analyze, and every prediction runs the precedence
+ * bound over the result).
  *
  * Input mapping: byte 0 selects the microarchitecture; the remainder
  * is the block image, truncated to kMaxBlockBytes exactly like the
@@ -10,11 +11,13 @@
  * so every iteration is self-contained.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "bb/basic_block.h"
+#include "facile/precedence.h"
 #include "isa/decoder.h"
 #include "server/protocol.h"
 #include "uarch/config.h"
@@ -41,6 +44,15 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
                 __builtin_trap();
             prevEnd = ai.end;
         }
+        // The carried-value bound must be a finite, non-negative cycle
+        // ratio that agrees with Howard over the same dependence edges.
+        const double bound = model::precedenceBound(blk);
+        const model::DependenceGraph g = model::dependenceGraph(blk);
+        const double howard =
+            model::maxCycleRatioHoward(g.nodes, g.edges).ratio;
+        if (!std::isfinite(bound) || bound < 0.0 ||
+            std::abs(bound - howard) > 1e-9 * std::max(1.0, howard))
+            __builtin_trap();
     } catch (const isa::DecodeError &) {
         // Rejecting garbage is the decoder doing its job.
     }

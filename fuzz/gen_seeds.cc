@@ -72,6 +72,10 @@ main(int argc, char **argv)
         }
         // A single NOP — the smallest decodable block.
         writeSeed(out / "decoder", "nop", {0, 0x90});
+        // imul rax, rbx; imul rbx, rax: a recurrence through two
+        // carried values, so the precedence bound solves a 2x2 matrix.
+        writeSeed(out / "decoder", "cross_value_recurrence",
+                  {0, 0x48, 0x0f, 0xaf, 0xc3, 0x48, 0x0f, 0xaf, 0xd8});
     }
 
     // ---- protocol: request frame streams (mode byte first) -----------------

@@ -142,8 +142,7 @@ class LlvmMcaLike : public ThroughputPredictor
         double portBound = greedyPortBound(blk, false);
 
         // Loop-carried dependence height with skewed latencies.
-        model::PrecedenceResult pr = model::precedence(blk);
-        double depBound = pr.throughput * latencySkew_;
+        double depBound = model::precedenceBound(blk) * latencySkew_;
 
         double tp = std::max({dispatch, portBound, depBound});
         if (noiseAmp_ > 0.0)
@@ -185,7 +184,7 @@ class CqaLike : public ThroughputPredictor
             uops::InstrInfo &info = coarse.mutableInfo(i);
             info.latency = std::min(info.latency, 3);
         }
-        tp = std::max(tp, model::precedence(coarse).throughput);
+        tp = std::max(tp, model::precedenceBound(coarse));
         return tp;
     }
 };
@@ -229,7 +228,7 @@ class IthemalLike : public ThroughputPredictor
         double issueBound =
             static_cast<double>(blk.issueUops()) / cfg.issueWidth;
         double portBound = model::ports(blk).throughput;
-        double depBound = model::precedence(blk).throughput;
+        double depBound = model::precedenceBound(blk);
         // Trained on *unrolled* measurements, the network learned the
         // legacy-decode front end as a feature — and applies it to loop
         // benchmarks too, where the DSB/LSD actually feed the pipeline.
@@ -262,7 +261,7 @@ class LearningBlLike : public ThroughputPredictor
         bb::BasicBlock refBlk = bb::analyze(blk.bytes, uarch::UArch::HSW);
         double portBound = model::ports(refBlk).throughput;
         double issueBound = static_cast<double>(refBlk.issueUops()) / 4.0;
-        double depBound = model::precedence(refBlk).throughput *
+        double depBound = model::precedenceBound(refBlk) *
                           noiseFactor(blk, 0.12, 0x2f9e11);
         return std::max({portBound, issueBound, depBound});
     }
@@ -285,7 +284,7 @@ class DiffTuneLike : public ThroughputPredictor
     {
         // Learned per-mnemonic latencies: deterministic multiplicative
         // distortion in [0.4, 2.2].
-        double dep = model::precedence(blk).throughput;
+        double dep = model::precedenceBound(blk);
         double depLearned = dep * noiseFactor(blk, 0.9, 0x9d1f07);
 
         // Learned dispatch cost per µop (absorbed front-end effects of

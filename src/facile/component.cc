@@ -196,29 +196,20 @@ class PrecedenceComponent final : public ComponentPredictor
     bound(const PredictContext &ctx) const override
     {
         bool shortCircuited = false;
-        const double v = precedenceBound(ctx.blk, ctx.scratch.precedence,
-                                         &shortCircuited);
+        const double v = precedenceBound(ctx.blk, &shortCircuited);
         bump(gPrecedenceEvals);
         if (shortCircuited)
             bump(gPrecedenceShortCircuits);
         return v;
     }
 
+    // Payload::Full takes the bound from bound() too (the default
+    // boundWithExplain), so both payloads agree bit for bit; only the
+    // chain needs the dependence graph.
     void
     explain(const PredictContext &ctx, Prediction &out) const override
     {
-        PrecedenceResult pr = precedence(ctx.blk, ctx.scratch.precedence);
-        out.criticalChain = std::move(pr.criticalChain);
-    }
-
-    double
-    boundWithExplain(const PredictContext &ctx,
-                     Prediction &out) const override
-    {
-        PrecedenceResult pr = precedence(ctx.blk, ctx.scratch.precedence);
-        out.criticalChain = std::move(pr.criticalChain);
-        bump(gPrecedenceEvals);
-        return pr.throughput;
+        out.criticalChain = criticalChain(ctx.blk, ctx.scratch.precedence);
     }
 
     Notions notions() const override { return {true, true}; }

@@ -240,7 +240,8 @@ struct PredictCountersSnapshot
     std::uint64_t fullPredicts = 0;  ///< Payload::Full evaluations
     std::uint64_t explainCalls = 0;  ///< on-demand explain() fills
     std::uint64_t precedenceEvals = 0;
-    std::uint64_t precedenceShortCircuits = 0; ///< self-carried-only hits
+    /** Bounds whose carried-value matrix was diagonal (no Karp solve). */
+    std::uint64_t precedenceShortCircuits = 0;
 };
 
 PredictCountersSnapshot predictCounters();

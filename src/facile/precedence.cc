@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "isa/semantics.h"
@@ -548,35 +551,40 @@ maxCycleRatio(int n_nodes, const std::vector<RatioEdge> &edges)
 
 namespace {
 
-/**
- * Facts about the dependence graph collected while building it, enough
- * to decide whether the max-cycle-ratio engines can be skipped.
- */
-struct DepGraphInfo
+/** Value id of the rsp family (isa/semantics.h numbering). */
+constexpr int kRspValue = 4;
+
+bool
+isStackOp(const isa::Inst &inst)
 {
-    int nNodes = 0;
+    return inst.mnem == isa::Mnemonic::PUSH ||
+           inst.mnem == isa::Mnemonic::POP ||
+           inst.mnem == isa::Mnemonic::CALL ||
+           inst.mnem == isa::Mnemonic::RET;
+}
 
-    /**
-     * No loop-carried edge crosses instructions (and no stack-op
-     * instruction carries more than one self-dependence): every cycle
-     * is confined to one instruction's write nodes and maxSelfRatio is
-     * the exact bound. See precedenceBound() in the header.
-     */
-    bool selfCarriedOnly = true;
-
-    /** Max weight/count over node-level self-loop edges (count is 1). */
-    double maxSelfRatio = 0.0;
-};
+/** Value ids of the address registers of @p inst if it loads, else 0. */
+std::uint64_t
+loadAddressMask(const isa::Inst &inst)
+{
+    const isa::MemOp *m = inst.memOperand();
+    if (!m || !inst.isLoad())
+        return 0;
+    std::uint64_t mask = 0;
+    for (const isa::Reg &reg : {m->base, m->index})
+        if (reg.family() >= 0)
+            mask |= std::uint64_t{1} << reg.family();
+    return mask;
+}
 
 /**
  * Build the dependence graph of @p blk into s.edges / s.nodeInst /
- * s.nodeValue (shared by precedence() and precedenceBound()).
+ * s.nodeValue; returns the node count.
  */
-DepGraphInfo
+int
 buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
 {
     const uarch::MicroArchConfig &cfg = uarch::config(blk.arch);
-    DepGraphInfo g;
 
     // One node per (instruction, written value): nodeInst/nodeValue.
     s.nodeInst.clear();
@@ -606,22 +614,8 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
         const int nWrites = static_cast<int>(sets.writes.size());
 
         if (!sets.depBreaking && nWrites > 0) {
-            // Determine which reads are address registers of a load.
-            const isa::MemOp *m = ai.dec.inst.memOperand();
-            const bool loads = ai.dec.inst.isLoad();
-            auto isAddrReg = [&](int v) {
-                if (!m || !loads)
-                    return false;
-                return (m->base.valid() && m->base.family() == v) ||
-                       (m->index.valid() && m->index.family() == v);
-            };
-            const bool stackOp =
-                ai.dec.inst.mnem == isa::Mnemonic::PUSH ||
-                ai.dec.inst.mnem == isa::Mnemonic::POP ||
-                ai.dec.inst.mnem == isa::Mnemonic::CALL ||
-                ai.dec.inst.mnem == isa::Mnemonic::RET;
-
-            int selfCarried = 0;
+            const std::uint64_t addrRegs = loadAddressMask(ai.dec.inst);
+            const bool stackOp = isStackOp(ai.dec.inst);
             for (int r : sets.reads) {
                 int producer = lastWriter[r];
                 int iterCount = 0;
@@ -631,25 +625,17 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
                 }
                 if (producer < 0)
                     continue; // loop-invariant input
-                if (iterCount) {
-                    if (s.nodeInst[producer] != static_cast<int>(i))
-                        g.selfCarriedOnly = false;
-                    else if (stackOp && ++selfCarried > 1)
-                        g.selfCarriedOnly = false;
-                }
                 double lat = static_cast<double>(ai.info.latency);
-                if (isAddrReg(r))
+                if ((addrRegs >> r) & 1)
                     lat += cfg.loadLatency;
                 for (int w = 0; w < nWrites; ++w) {
                     double edgeLat = lat;
                     // The stack engine updates rsp outside the execution
                     // core; rsp results of stack ops are available
                     // immediately.
-                    if (stackOp && s.nodeValue[firstWriteNode + w] == 4)
+                    if (stackOp &&
+                        s.nodeValue[firstWriteNode + w] == kRspValue)
                         edgeLat = 0.0;
-                    if (iterCount && producer == firstWriteNode + w &&
-                        edgeLat > g.maxSelfRatio)
-                        g.maxSelfRatio = edgeLat;
                     s.edges.push(producer, firstWriteNode + w, edgeLat,
                                  iterCount);
                 }
@@ -662,11 +648,286 @@ buildDepGraph(const bb::BasicBlock &blk, PrecedenceScratch &s)
         nodeCursor += nWrites;
     }
 
-    g.nNodes = static_cast<int>(s.nodeInst.size());
-    return g;
+    return static_cast<int>(s.nodeInst.size());
+}
+
+/**
+ * "No path" in the integer path-length arrays. Real lengths are never
+ * negative; a sum that involves kNone stays far below 0 for any block
+ * whose total latency is below 2^61 cycles, and two kNone terms still
+ * add up without overflow.
+ */
+constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::min() / 4;
+
+/** Calls @p f with each set bit of @p mask, lowest first. */
+template <typename F>
+inline void
+forEachBit(std::uint64_t mask, F f)
+{
+    for (; mask; mask &= mask - 1)
+        f(std::countr_zero(mask));
+}
+
+/**
+ * The forward pass of precedenceBound() over @p blk. On return, for
+ * each carried value v, reach[v] is the set of carried values (as a
+ * value-id mask) from which a path reaches the last producer of v, and
+ * for a reached v, len[v][j] is the longest such path from source j
+ * (the j-th carried value), or less than 0 if there is none. Every row
+ * is W wide, so the per-source loops have a fixed trip count; W must be
+ * at least the number of carried values.
+ */
+template <int W>
+void
+carriedPaths(const bb::BasicBlock &blk, std::uint64_t carried,
+             std::uint64_t (&reach)[isa::kNumValues],
+             std::int64_t (&len)[isa::kNumValues][isa::kNumValues])
+{
+    // At the start of the iteration each carried value is its own
+    // source at length 0: its producer is its last writer of the
+    // previous iteration. `alive` holds the values whose producer some
+    // source reaches; reach[v] is read only for them.
+    std::uint64_t alive = carried;
+    int j = 0;
+    forEachBit(carried, [&](int c) {
+        reach[c] = std::uint64_t{1} << c;
+        std::fill_n(len[c], W, kNone);
+        len[c][j++] = 0;
+    });
+
+    const int loadLatency = uarch::config(blk.arch).loadLatency;
+    for (const auto &ai : blk.insts) {
+        const isa::RwSets &rw = ai.rw;
+        const std::uint64_t writes = rw.writes.bits();
+        if (!writes)
+            continue;
+        const std::uint64_t live =
+            rw.depBreaking ? 0 : rw.reads.bits() & alive;
+        if (!live) {
+            alive &= ~writes;
+            continue;
+        }
+
+        // Per source, the longest path into this instruction's writes,
+        // over its reads: with the read's edge weight, and (into the
+        // rsp write of a stack op) with weight 0. Computed before any
+        // write, so the instruction's own reads see the old state. Only
+        // general-purpose registers address memory.
+        const std::uint64_t addrRegs =
+            (live & 0xffff) ? loadAddressMask(ai.dec.inst) : 0;
+        const bool zeroRsp =
+            (writes >> kRspValue & 1) && isStackOp(ai.dec.inst);
+        std::int64_t via[W], viaZero[W];
+        std::fill_n(via, W, kNone);
+        if (zeroRsp)
+            std::fill_n(viaZero, W, kNone);
+        std::uint64_t in = 0;
+        forEachBit(live, [&](int r) {
+            in |= reach[r];
+            const std::int64_t weight =
+                ai.info.latency + ((addrRegs >> r & 1) ? loadLatency : 0);
+            for (int i = 0; i < W; ++i)
+                via[i] = std::max(via[i], len[r][i] + weight);
+            if (zeroRsp)
+                for (int i = 0; i < W; ++i)
+                    viaZero[i] = std::max(viaZero[i], len[r][i]);
+        });
+        alive |= writes;
+        forEachBit(writes, [&](int w) {
+            reach[w] = in;
+            std::copy_n(zeroRsp && w == kRspValue ? viaZero : via, W,
+                        len[w]);
+        });
+    }
+    forEachBit(carried & ~alive, [&](int v) { reach[v] = 0; });
+}
+
+/**
+ * maxCycleMean() of the k×k matrix whose entry (u, v) is entry(u, v)
+ * (absent if negative), with rows W wide (W >= k): Karp's formula with
+ * D_0(v) = 0 for every v (a virtual source with a zero-weight edge to
+ * each node). D_t(v) is the heaviest walk of exactly t entries ending
+ * at v, and the maximum cycle mean is the max over v of the min over
+ * t < k of (D_k(v) - D_t(v)) / (k - t). Absent entries and walks are
+ * kNone, so the recurrence needs no branch: a sum with a kNone term
+ * stays below 0, a walk's weight never does, and clamping at kNone
+ * keeps every sum in range. Columns k..W-1 are such absent entries.
+ */
+template <int W, typename Entry>
+double
+karp(int k, Entry entry)
+{
+    std::int64_t in[W][W]; // in[v][u]: the entry u -> v
+    for (auto &row : in)
+        std::fill_n(row, W, kNone);
+    for (int u = 0; u < k; ++u) {
+        for (int v = 0; v < k; ++v) {
+            const std::int64_t w = entry(u, v);
+            if (w >= 0)
+                in[v][u] = w;
+        }
+    }
+    std::int64_t d[isa::kNumValues + 1][W];
+    std::fill_n(d[0], W, 0);
+    for (int t = 1; t <= k; ++t) {
+        for (int v = 0; v < W; ++v) {
+            std::int64_t best = kNone;
+            for (int u = 0; u < W; ++u)
+                best = std::max(best, d[t - 1][u] + in[v][u]);
+            d[t][v] = best;
+        }
+    }
+
+    // The fractions p/q (q > 0) are compared by cross-multiplication.
+    bool found = false;
+    std::int64_t bestP = 0, bestQ = 1;
+    for (int v = 0; v < k; ++v) {
+        if (d[k][v] < 0)
+            continue; // no walk of k entries ends here: on no cycle
+        std::int64_t minP = d[k][v], minQ = k; // t = 0, D_0(v) = 0
+        for (int t = 1; t < k; ++t) {
+            if (d[t][v] < 0)
+                continue;
+            const std::int64_t p = d[k][v] - d[t][v];
+            const std::int64_t q = k - t;
+            if (p * minQ < minP * q) {
+                minP = p;
+                minQ = q;
+            }
+        }
+        if (!found || minP * bestQ > bestP * minQ) {
+            bestP = minP;
+            bestQ = minQ;
+            found = true;
+        }
+    }
+    return found ? static_cast<double>(bestP) / static_cast<double>(bestQ)
+                 : 0.0;
+}
+
+/** karp() at the narrowest width that holds @p k nodes. */
+template <typename Entry>
+double
+maxCycleMeanOf(int k, Entry entry)
+{
+    if (k <= 4)
+        return karp<4>(k, entry);
+    if (k <= 8)
+        return karp<8>(k, entry);
+    if (k <= 16)
+        return karp<16>(k, entry);
+    return karp<isa::kNumValues>(k, entry);
 }
 
 } // namespace
+
+double
+maxCycleMean(const CycleMeanMatrix &m)
+{
+    return maxCycleMeanOf(m.k, [&m](int u, int v) { return m.w[u][v]; });
+}
+
+double
+precedenceBound(const bb::BasicBlock &blk, bool *shortCircuited)
+{
+    // Carried values: read before their first write by an instruction
+    // that depends on its inputs and writes something (the reads that
+    // make loop-carried edges), and written somewhere in the block.
+    std::uint64_t written = 0, readFirst = 0;
+    for (const auto &ai : blk.insts) {
+        const isa::RwSets &rw = ai.rw;
+        if (!rw.depBreaking && !rw.writes.empty())
+            readFirst |= rw.reads.bits() & ~written;
+        written |= rw.writes.bits();
+    }
+    const std::uint64_t carried = readFirst & written;
+    if (!carried) {
+        if (shortCircuited)
+            *shortCircuited = true;
+        return 0.0;
+    }
+    // Carried values are numbered 0..k-1 as sources, in value-id order;
+    // the pass runs at the narrowest width that holds them.
+    std::uint64_t reach[isa::kNumValues];
+    std::int64_t len[isa::kNumValues][isa::kNumValues];
+    const int k = std::popcount(carried);
+    if (k <= 4)
+        carriedPaths<4>(blk, carried, reach, len);
+    else if (k <= 8)
+        carriedPaths<8>(blk, carried, reach, len);
+    else if (k <= 16)
+        carriedPaths<16>(blk, carried, reach, len);
+    else
+        carriedPaths<isa::kNumValues>(blk, carried, reach, len);
+
+    // Entry (u, v) of the recurrence matrix is len[v][source of u]: the
+    // longest path from carried value u to carried value v's last
+    // producer. Its diagonal holds each value's self-recurrence.
+    bool diagonal = true;
+    std::int64_t maxSelf = 0;
+    int j = 0;
+    forEachBit(carried, [&](int v) {
+        const std::uint64_t self = std::uint64_t{1} << v;
+        if (reach[v] & ~self)
+            diagonal = false;
+        if (reach[v] & self)
+            maxSelf = std::max(maxSelf, len[v][j]);
+        ++j;
+    });
+    if (shortCircuited)
+        *shortCircuited = diagonal;
+    if (diagonal)
+        return static_cast<double>(maxSelf);
+
+    // A cycle through two or more values stays within the core: peel
+    // every value that no other core value reaches or that reaches no
+    // other, until none is left to peel. Self-recurrences outside the
+    // core are in maxSelf.
+    std::uint64_t core = carried;
+    for (std::uint64_t before = 0; before != core;) {
+        before = core;
+        std::uint64_t feeds = 0, fed = 0;
+        forEachBit(core, [&](int v) {
+            const std::uint64_t from =
+                reach[v] & core & ~(std::uint64_t{1} << v);
+            feeds |= from;
+            if (from)
+                fed |= std::uint64_t{1} << v;
+        });
+        core &= feeds & fed;
+    }
+    if (!core)
+        return static_cast<double>(maxSelf);
+
+    // Node i of the core matrix is carried value ids[i], source srcs[i].
+    int ids[isa::kNumValues], srcs[isa::kNumValues];
+    int n = 0;
+    j = 0;
+    forEachBit(carried, [&](int v) {
+        if (core >> v & 1) {
+            ids[n] = v;
+            srcs[n++] = j;
+        }
+        ++j;
+    });
+    return std::max(static_cast<double>(maxSelf),
+                    maxCycleMeanOf(n, [&](int u, int v) {
+                        return len[ids[v]][srcs[u]];
+                    }));
+}
+
+DependenceGraph
+dependenceGraph(const bb::BasicBlock &blk)
+{
+    PrecedenceScratch &s = tlsScratch();
+    DependenceGraph g;
+    g.nodes = buildDepGraph(blk, s);
+    g.edges.reserve(s.edges.size());
+    for (std::size_t j = 0; j < s.edges.size(); ++j)
+        g.edges.push_back({s.edges.from[j], s.edges.to[j], s.edges.weight[j],
+                           s.edges.count[j]});
+    return g;
+}
 
 PrecedenceResult
 precedence(const bb::BasicBlock &blk)
@@ -677,34 +938,23 @@ precedence(const bb::BasicBlock &blk)
 PrecedenceResult
 precedence(const bb::BasicBlock &blk, PrecedenceScratch &s)
 {
-    const DepGraphInfo g = buildDepGraph(blk, s);
-    PrecedenceResult result;
-    result.throughput = maxCycleRatioImpl(g.nNodes, s.edges, s);
-    for (int n : s.bestCycle) {
-        int inst = s.nodeInst[n];
-        if (result.criticalChain.empty() ||
-            result.criticalChain.back() != inst)
-            result.criticalChain.push_back(inst);
-    }
-    return result;
+    return {precedenceBound(blk), criticalChain(blk, s)};
 }
 
-double
-precedenceBound(const bb::BasicBlock &blk, PrecedenceScratch &s,
-                bool *shortCircuited)
+std::vector<int>
+criticalChain(const bb::BasicBlock &blk, PrecedenceScratch &s)
 {
-    const DepGraphInfo g = buildDepGraph(blk, s);
-    if (g.selfCarriedOnly) {
-        // Every cycle is an instruction self-dependence; the max
-        // self-loop ratio is the exact bound and matches the engines
-        // bit for bit (see the header contract).
-        if (shortCircuited)
-            *shortCircuited = true;
-        return g.maxSelfRatio;
+    // Howard only picks the critical cycle: its ratio is not the bound,
+    // which is exact where Howard's round guard is not.
+    const int nNodes = buildDepGraph(blk, s);
+    (void)maxCycleRatioImpl(nNodes, s.edges, s);
+    std::vector<int> chain;
+    for (int n : s.bestCycle) {
+        const int inst = s.nodeInst[n];
+        if (chain.empty() || chain.back() != inst)
+            chain.push_back(inst);
     }
-    if (shortCircuited)
-        *shortCircuited = false;
-    return maxCycleRatioImpl(g.nNodes, s.edges, s);
+    return chain;
 }
 
 } // namespace facile::model

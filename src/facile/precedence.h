@@ -2,21 +2,38 @@
  * @file
  * Precedence-constraint predictor (paper section 4.9).
  *
- * Builds a weighted dependence graph over the values produced and
- * consumed by the block's instructions. Intra-iteration edges carry
- * iteration count 0, loop-carried edges count 1; edge weights are
- * instruction latencies (plus the load-to-use latency for address
- * registers of loads). The throughput bound is the maximum ratio of
- * cycle latency to cycle iteration count over all cycles of the graph
- * — the recurrence-constrained minimum initiation interval of modulo
- * scheduling.
+ * The bound is the recurrence-constrained minimum initiation interval
+ * of modulo scheduling: the maximum, over the block's dependence
+ * cycles, of cycle latency over the number of iterations the cycle
+ * spans. Edge weights are instruction latencies, plus the load-to-use
+ * latency for address registers of loads.
+ *
+ * precedenceBound() computes it over the block's loop-carried values
+ * alone (Rau's MinDist form of RecMII, with distances 0 and 1). A
+ * value is carried when an instruction that depends on its inputs
+ * reads it before its first write in the iteration and some
+ * instruction writes it. Intra-iteration dependences always point
+ * forward, so every cycle crosses at least one carried value; one
+ * forward pass over the per-instruction read/write sets gives the
+ * longest path from each carried value to the last producer of each
+ * other, and the bound is the maximum cycle mean of that k×k matrix
+ * (Karp 1978). Everything is integer until one final division, so the
+ * result is the exact ratio, correctly rounded.
+ *
+ * precedence() additionally names a critical cycle. It builds the
+ * node-level dependence graph (one node per instruction and written
+ * value; intra-iteration edges count 0 iterations, loop-carried ones
+ * 1) and runs Howard's policy iteration, whose cycle choice the golden
+ * digests pin.
  */
 #ifndef FACILE_FACILE_PRECEDENCE_H
 #define FACILE_FACILE_PRECEDENCE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "bb/basic_block.h"
+#include "isa/semantics.h"
 
 namespace facile::model {
 
@@ -105,7 +122,8 @@ struct CycleRatioResult
 };
 
 /**
- * Reusable workspace for precedence() and the cycle-ratio engines.
+ * Reusable workspace for precedence() and the cycle-ratio engines —
+ * the critical-chain path; precedenceBound() needs none.
  *
  * All per-call temporaries (dependence-graph buffers, Bellman-Ford
  * dist/pred arrays, CSR adjacency, SCC bookkeeping) live here and keep
@@ -165,7 +183,11 @@ struct PrecedenceScratch
     std::vector<char> howSolved;
 };
 
-/** Throughput bound due to loop-carried dependence chains. */
+/**
+ * Throughput bound due to loop-carried dependence chains, with the
+ * instructions of one critical cycle: precedenceBound() and
+ * criticalChain() together.
+ */
 PrecedenceResult precedence(const bb::BasicBlock &blk);
 
 /**
@@ -176,35 +198,69 @@ PrecedenceResult precedence(const bb::BasicBlock &blk,
                             PrecedenceScratch &scratch);
 
 /**
- * The bound alone, without the criticalChain payload — the staged
- * pipeline's cheap path.
- *
- * When the dependence graph carries no cross-instruction loop-carried
- * edge (every loop-carried dependence is an instruction depending on
- * its own previous iteration), every dependence cycle is confined to a
- * single instruction's write nodes and the maximum self-loop ratio is
- * the exact bound; the max-cycle-ratio engines are skipped entirely
- * and @p shortCircuited (if non-null) is set. The returned double is
- * bit-identical to the full engine's in that case: loop-carried edges
- * have iteration count 1 and integer-valued latency weights, so the
- * engines' converged per-cycle ratio is exactly the winning self-loop
- * weight (the tolerance windows of the Howard / Bellman-Ford engines
- * only matter for ratio gaps below 1e-9, which integer-valued weights
- * with small cycle lengths cannot produce). Blocks where a stack-op
- * instruction carries more than one self-dependence fall back to the
- * full engine (the rsp special case makes a cross-value cycle's ratio
- * potentially exceed every self-loop; no such instruction exists in
- * the ISA model, but the guard keeps the short-circuit conservative).
+ * The criticalChain payload alone: the instruction indices along the
+ * critical cycle Howard's policy iteration picks in the node-level
+ * dependence graph (the choice the golden digests pin).
  */
-double precedenceBound(const bb::BasicBlock &blk, PrecedenceScratch &scratch,
+std::vector<int> criticalChain(const bb::BasicBlock &blk,
+                               PrecedenceScratch &scratch);
+
+/**
+ * The bound alone, without the criticalChain payload: the exact
+ * maximum cycle ratio of the block's dependence graph, correctly
+ * rounded (see the file comment). Allocates nothing.
+ *
+ * @p shortCircuited (if non-null) is set when every carried value's
+ * last producer is reached from no carried value but itself: then the
+ * matrix is diagonal, every cycle is a single value's self-recurrence,
+ * and the bound is the largest diagonal entry, with no cycle-mean
+ * solve. A block with no carried value counts as diagonal.
+ */
+double precedenceBound(const bb::BasicBlock &blk,
                        bool *shortCircuited = nullptr);
+
+/**
+ * A square matrix of non-negative integer path lengths over at most
+ * isa::kNumValues nodes; entry w[u][v] < 0 means no edge u → v. Only
+ * the leading k rows and columns are read.
+ */
+struct CycleMeanMatrix
+{
+    int k = 0;
+    std::int64_t w[isa::kNumValues][isa::kNumValues];
+};
+
+/**
+ * Maximum cycle mean of @p m (Karp's formula, with every node a
+ * source): the largest sum of entries over number of entries among
+ * its cycles; 0 if it has none. The mean is p/q with integer p and
+ * 1 <= q <= k; it is found in 64-bit integers, comparing fractions by
+ * cross-multiplication, and divided once, so the result is p/q
+ * correctly rounded. Exposed for testing.
+ */
+double maxCycleMean(const CycleMeanMatrix &m);
+
+/**
+ * A block's node-level dependence graph as precedence() builds it: one
+ * node per (instruction, written value), loop-carried edges with count
+ * 1, all others 0. Exposed so tests and the decoder fuzz target can
+ * check precedenceBound() against the cycle-ratio engines.
+ */
+struct DependenceGraph
+{
+    int nodes = 0;
+    std::vector<RatioEdge> edges;
+};
+
+DependenceGraph dependenceGraph(const bb::BasicBlock &blk);
 
 /**
  * Maximum cycle ratio sum(weight)/sum(count) over all cycles of a
  * directed graph; 0 if the graph is acyclic. Exposed for testing.
  *
- * Every cycle must contain at least one edge with count > 0 (guaranteed
- * by the dependence-graph construction; asserted here).
+ * Every cycle must contain at least one edge with count > 0; the
+ * dependence-graph construction guarantees it, and nothing checks it
+ * here.
  */
 CycleRatioResult maxCycleRatio(int n_nodes,
                                const std::vector<RatioEdge> &edges);

@@ -157,11 +157,11 @@ finalize(Prediction &p)
  * The staged driver: walk the resolved registry view in stages —
  * cheap arithmetic bounds first (Issue and the TPL µop-delivery
  * bound), then the front-end decode simulations where the notion
- * selects them, then Ports, then the precedence pass (which itself
- * short-circuits self-carried-only graphs). Evaluation order does not
- * affect any Prediction field: throughput is a running max and the
- * bottleneck classification is derived from componentValue under the
- * fixed bottleneckPriority() order.
+ * selects them, then Ports, then the precedence pass (which skips its
+ * cycle-mean solve when no carried value reaches another). Evaluation
+ * order does not affect any Prediction field: throughput is a running
+ * max and the bottleneck classification is derived from componentValue
+ * under the fixed bottleneckPriority() order.
  */
 Prediction
 predictStaged(const bb::BasicBlock &blk, bool loop,
@@ -201,8 +201,7 @@ predictStaged(const bb::BasicBlock &blk, bool loop,
         eval(view.dsb);
     }
 
-    // Stage 2: port contention. Stage 3: precedence (most expensive,
-    // short-circuited inside for self-carried-only dependence graphs).
+    // Stage 2: port contention. Stage 3: precedence.
     eval(view.ports);
     eval(view.precedence);
 

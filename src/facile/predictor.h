@@ -9,8 +9,7 @@
  * per-microarchitecture component registry (facile/component.h): each
  * bound is a ComponentPredictor, ablation configs resolve to a
  * precomputed RegistryView, and evaluation is staged (cheap arithmetic
- * bounds first, the max-cycle-ratio precedence pass last, short-
- * circuited when the dependence graph only carries self-dependences)
+ * bounds first, the precedence pass over the loop-carried values last)
  * and lazy (the interpretability payload is built only on request).
  * The entry points below are thin drivers over that pipeline;
  * Prediction::throughput is bit-identical across all of them.

@@ -76,6 +76,9 @@ class ValueSet
     std::size_t size() const { return std::popcount(bits_); }
     bool empty() const { return bits_ == 0; }
 
+    /** The set as a mask: bit v is set iff v is in the set. */
+    std::uint64_t bits() const { return bits_; }
+
     iterator begin() const { return iterator(bits_); }
     iterator end() const { return iterator(0); }
 

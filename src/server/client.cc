@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -357,7 +358,12 @@ Client::predictManyInto(const std::vector<engine::Request> &reqs,
         }
         writeAll(frames.data(), frames.size());
 
+        // A rejected request is reported only once the whole window is
+        // read, so the next call on this connection does not read a
+        // stale response. Id and payload errors mean a corrupt stream
+        // and throw at once.
         received.assign(window, false);
+        std::optional<ResponseHeader> rejected;
         for (std::size_t got = 0; got < window;) {
             ResponseHeader h = readResponse(payload);
             if (h.id < baseId || h.id - baseId >= window)
@@ -366,13 +372,19 @@ Client::predictManyInto(const std::vector<engine::Request> &reqs,
                 static_cast<std::size_t>(h.id - baseId);
             if (received[idx])
                 throw ProtocolError("duplicate response id");
-            throwOnRejected(h);
+            received[idx] = true;
+            ++got;
+            if (h.status != static_cast<std::uint8_t>(Status::Ok)) {
+                if (!rejected)
+                    rejected = h;
+                continue;
+            }
             if (!decodePredictInto(payload, h.len, out[base + idx]))
                 throw ProtocolError(
                     "malformed PREDICT response payload");
-            received[idx] = true;
-            ++got;
         }
+        if (rejected)
+            throwOnRejected(*rejected);
     }
 }
 

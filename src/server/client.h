@@ -66,7 +66,9 @@ class Client
     /**
      * Predict a batch, pipelined: all request frames are written
      * before any response is read (in windows of kPipelineWindow to
-     * bound buffering). out[i] corresponds to reqs[i].
+     * bound buffering). out[i] corresponds to reqs[i]. A rejected
+     * request throws its window's first rejection once every response
+     * of that window has been read, so the connection stays usable.
      */
     std::vector<model::Prediction>
     predictMany(const std::vector<engine::Request> &reqs);

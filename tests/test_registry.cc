@@ -361,13 +361,13 @@ TEST(Registry, PrecedenceShortCircuitCountsSelfCarriedBlocks)
     PredictScratch scratch;
     bool sc = false;
     const double selfBound =
-        precedenceBound(selfCarried, scratch.precedence, &sc);
+        precedenceBound(selfCarried, &sc);
     EXPECT_TRUE(sc);
     EXPECT_DOUBLE_EQ(selfBound,
                      precedence(selfCarried).throughput);
 
     const double crossBound =
-        precedenceBound(crossCarried, scratch.precedence, &sc);
+        precedenceBound(crossCarried, &sc);
     EXPECT_FALSE(sc);
     EXPECT_DOUBLE_EQ(crossBound, precedence(crossCarried).throughput);
 
@@ -397,7 +397,7 @@ TEST(Registry, PrecedenceBoundMatchesFullEngineOnFuzzedBlocks)
                     bb::analyze(loop ? b.bytesL : b.bytesU, arch);
                 bool sc = false;
                 const double bound =
-                    precedenceBound(blk, scratch.precedence, &sc);
+                    precedenceBound(blk, &sc);
                 const PrecedenceResult fullRes =
                     precedence(blk, scratch.precedence);
                 ASSERT_EQ(0, std::memcmp(&bound, &fullRes.throughput,
