@@ -16,11 +16,13 @@
  *     payload depth, the ablation config, the arch and the block bytes
  *     short-circuits repeated requests; a miss is analyzed and
  *     predicted on the lane that serves it, and only its cache entry
- *     outlives the request;
+ *     outlives the request. An entry is a 96-byte record in a flat,
+ *     open-addressed table, its key bytes in append-only chunks;
  *   - each lane uses its thread's model::tlsPredictScratch() (see
  *     facile/component.h), so the component pipeline reuses its
- *     buffers. A hit allocates nothing; a miss allocates the block's
- *     two buffers, its owned cache key and the cache node
+ *     buffers, and a reusable Prediction that hits are copied into.
+ *     Once the cache's chunks exist, a hit allocates nothing and a miss
+ *     allocates only bb::analyze's two buffers
  *     (tests/test_retention.cc gates these counts);
  *   - requests default to Payload::None: the serving path computes
  *     bounds and bottleneck classification but skips the
@@ -97,7 +99,8 @@ struct EngineOptions
      * is dropped and the new one ages into its place. The hot working
      * set survives overflow (a hostile request stream still cannot
      * exhaust memory — a shard holds at most 2x this many entries),
-     * and steady-state traffic at capacity keeps its hit rate.
+     * and steady-state traffic at capacity keeps its hit rate. A bound
+     * above 2^31 acts as 2^31.
      */
     std::size_t maxEntriesPerShard = 1 << 16;
 };
@@ -139,13 +142,14 @@ class PredictionEngine
 
     /**
      * As predictBatch, but instead of materializing a result vector
-     * the engine calls visit(lane, i, prediction) once per request —
-     * on prediction-cache hits with a reference to the cached entry,
-     * so the serving hot path copies nothing. Calls happen on the
-     * calling thread and the helpers, concurrently for distinct i; the
-     * reference is valid only for the duration of the call (on hits it
-     * is made under the owning shard lock, so visitors must be brief
-     * and must not re-enter the engine).
+     * the engine calls visit(lane, i, prediction) once per request, on
+     * the calling thread and the helpers, concurrently for distinct i.
+     * No engine lock is held during a visit. On a prediction-cache hit
+     * the prediction is the lane's reusable buffer, which the hit's
+     * record was copied into; on a miss it is the fresh prediction.
+     * Either way the reference is valid only for the duration of the
+     * call, and a visitor must not call into a PredictionEngine: the
+     * lane's buffer and this call's counters belong to its thread.
      */
     void predictBatchVisit(const std::vector<Request> &batch,
                            const PredictionVisitor &visit,
@@ -180,12 +184,13 @@ class PredictionEngine
     // ---- snapshot support (src/analysis/snapshot.h) -----------------------
 
     /**
-     * Visit every prediction-cache entry as (opaque key, prediction).
-     * The key encodes (notion, payload depth, config, arch, block
-     * bytes) deterministically, so entries exported by one process hit
-     * in another. Shard locks are held during each shard's visits;
-     * visitors must be brief and must not re-enter the engine. Returns
-     * the number of entries visited.
+     * Visit every prediction-cache entry as (opaque key, prediction),
+     * each key once: an entry promoted out of the old generation is
+     * visited as its new copy only. The key encodes (notion, payload
+     * depth, config, arch, block bytes) deterministically, so entries
+     * exported by one process hit in another. Shard locks are held
+     * during each shard's visits; visitors must be brief and must not
+     * re-enter the engine. Returns the number of entries visited.
      */
     std::size_t exportPredictionCache(
         const std::function<void(const std::string &key,

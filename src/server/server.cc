@@ -795,9 +795,10 @@ struct PredictionServer::Impl
         for (std::size_t i : order)
             reqs.push_back(std::move(batch[i].req));
 
-        // Zero-copy serving: each engine lane serializes predictions
-        // straight from the cache into its own per-connection staging
-        // buffer (no Prediction copies, no locks between lanes).
+        // Each engine lane serializes its predictions into its own
+        // per-connection staging buffer, with no lock between lanes: a
+        // hit arrives as the lane's reusable Prediction, copied from
+        // the cache's compact record, and no result vector is built.
         // Responses are matched by id, so the lane interleaving is
         // invisible to clients.
         for (auto &bufs : laneBufs) {

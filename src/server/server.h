@@ -25,9 +25,9 @@
  *            v
  *   PredictionEngine (the collector is lane 0, helper threads join by
  *                     chunks; sharded two-generation caches,
- *                     zero-alloc hot paths; lanes serialize responses
- *                     straight from the cache into per-(lane,
- *                     connection) buffers)
+ *                     zero-alloc hot paths; a hit is copied from
+ *                     its compact record, and lanes serialize
+ *                     responses into per-(lane, connection) buffers)
  *            |
  *            v
  *   scatter-gather flush: one writev-style sendmsg gathers a

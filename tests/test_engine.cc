@@ -19,8 +19,10 @@
 #include <filesystem>
 #include <future>
 #include <latch>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "bhive/generator.h"
@@ -334,6 +336,91 @@ TEST(Engine, ConcurrentEngineHammer)
             ASSERT_TRUE(bitIdentical(out[i], reference[i]))
                 << "pass " << pass << " request " << i;
     }
+}
+
+/**
+ * The cache's concurrent paths, from two callers on 4 lanes with both
+ * payloads, one through predictBatch and one through
+ * predictBatchVisit: a bound of 20 entries per shard generation makes
+ * the tables grow, rotate and promote old-generation hits while a
+ * third thread imports entries and exports the cache. Every result, and
+ * every exported entry, must match serial prediction bit for bit; an
+ * export lists each key once, and each call's counters add up to its
+ * batch. TSan-clean by contract.
+ */
+TEST(Engine, ConcurrentCachedHammer)
+{
+    const auto &blocks = bhive::generateSuite(0xcac4edULL, 5);
+    std::vector<Request> batch;
+    for (uarch::UArch arch :
+         {uarch::UArch::SNB, uarch::UArch::SKL, uarch::UArch::ICL})
+        for (const auto &b : blocks) {
+            batch.push_back({b.bytesU, arch, false, {}});
+            batch.push_back({b.bytesL, arch, true, {}});
+            batch.push_back(
+                {b.bytesL, arch, true, {}, model::Payload::Full});
+        }
+    std::vector<Prediction> reference;
+    for (const Request &r : batch)
+        reference.push_back(serialPredict(r));
+
+    // Every entry of the batch, keyed as the cache exports it.
+    std::map<std::string, Prediction> byKey;
+    {
+        PredictionEngine all({.numThreads = 1});
+        all.predictBatch(batch);
+        all.exportPredictionCache(
+            [&](const std::string &key, const Prediction &p) {
+                byKey.emplace(key, p);
+            });
+    }
+    ASSERT_GT(byKey.size(), 16u * 20u) << "too few keys to rotate";
+
+    PredictionEngine eng({.numThreads = 4, .maxEntriesPerShard = 20});
+    std::vector<Request> reversed(batch.rbegin(), batch.rend());
+    // The reversed caller visits: its hits pass through the lanes'
+    // reusable buffers, None and Full alike.
+    auto caller = [&](const std::vector<Request> &reqs, bool reverse) {
+        for (int pass = 0; pass < 3; ++pass) {
+            BatchStats st;
+            std::vector<Prediction> out(reqs.size());
+            if (reverse)
+                eng.predictBatchVisit(
+                    reqs,
+                    [&out](int, std::size_t i, const Prediction &p) {
+                        out[i] = p;
+                    },
+                    &st);
+            else
+                out = eng.predictBatch(reqs, &st);
+            EXPECT_EQ(st.requests, reqs.size());
+            EXPECT_EQ(st.predictionCacheHits + st.analyzed, reqs.size());
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                const std::size_t j = reverse ? out.size() - 1 - i : i;
+                EXPECT_TRUE(bitIdentical(out[i], reference[j]))
+                    << "pass " << pass << " request " << j;
+            }
+        }
+    };
+    std::thread a(caller, std::cref(batch), false);
+    std::thread b(caller, std::cref(reversed), true);
+    std::thread c([&] {
+        for (int round = 0; round < 3; ++round) {
+            for (const auto &[key, p] : byKey)
+                eng.importPredictionCacheEntry(key, p);
+            std::set<std::string> seen;
+            eng.exportPredictionCache(
+                [&](const std::string &key, const Prediction &p) {
+                    EXPECT_TRUE(seen.insert(key).second) << "key twice";
+                    const auto it = byKey.find(key);
+                    ASSERT_NE(it, byKey.end());
+                    EXPECT_TRUE(bitIdentical(p, it->second));
+                });
+        }
+    });
+    a.join();
+    b.join();
+    c.join();
 }
 
 TEST(Engine, NestedParallelForRunsInlineWithoutDeadlock)

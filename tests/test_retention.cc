@@ -7,16 +7,18 @@
  * are gated per block with zero tolerance, as the maximum over a fixed
  * seeded set: one added allocation on any path fails. Each set runs
  * twice and the second pass is gated — the first grows per-thread
- * scratch to the set's largest block (and, for the engine, the cache
- * tables' buckets, which clearCaches() keeps). The gates:
+ * scratch to the set's largest block (and, for the engine, the cache's
+ * slot array and its record and key chunks, which clearCaches() keeps,
+ * and the lane's hit buffer). The gates:
  *
  *   - bb::analyze: kAnalyzeAllocs (the bytes it takes by value, and
  *     the instruction array);
  *   - model::predict with Payload::None: 0;
- *   - a miss through a 1-lane engine with the cache on: at most
- *     kMissExtraAllocs more than analyze + predict (the owned key and
- *     the cache node);
- *   - a hit through predictBatchVisit: 0.
+ *   - a miss through a 1-lane engine with the cache on: nothing more
+ *     than analyze + predict (kMissExtraAllocs is 0: the entry goes
+ *     into chunks that already exist);
+ *   - a hit through predictBatchVisit: 0, with Payload::None and with
+ *     Payload::Full (the chains are copied into the lane's buffer).
  *
  * Retention: after a warm-up on never-seen blocks, analyzing and
  * predicting 2,000 more never-seen blocks must leave the live
@@ -33,6 +35,7 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bb/basic_block.h"
@@ -110,7 +113,7 @@ constexpr long long kSlack = 16;
 
 constexpr unsigned long long kAnalyzeAllocs = 2;
 constexpr unsigned long long kPredictAllocs = 0;
-constexpr unsigned long long kMissExtraAllocs = 2;
+constexpr unsigned long long kMissExtraAllocs = 0;
 constexpr unsigned long long kHitAllocs = 0;
 
 /**
@@ -268,7 +271,18 @@ TEST(Retention, PredictAllocatesNothing)
     EXPECT_LE(most, kPredictAllocs);
 }
 
-TEST(Retention, EngineMissAddsOnlyTheKeyAndTheNodeAndAHitNothing)
+struct EngineAllocs
+{
+    unsigned long long miss, hit;
+};
+
+/**
+ * The most allocations one request of @p reqs makes through a 1-lane
+ * engine, as one-request predictBatchVisit batches: first as misses
+ * (after clearCaches(), which keeps the table), then as hits.
+ */
+EngineAllocs
+engineAllocations(const char *name, const std::vector<engine::Request> &reqs)
 {
     engine::EngineOptions eo;
     eo.numThreads = 1;
@@ -276,7 +290,7 @@ TEST(Retention, EngineMissAddsOnlyTheKeyAndTheNodeAndAHitNothing)
 
     // One-request batches, built before counting starts.
     std::vector<std::vector<engine::Request>> singles;
-    for (const engine::Request &r : sets().engine)
+    for (const engine::Request &r : reqs)
         singles.push_back({r});
     engine::BatchStats stats;
     const engine::PredictionEngine::PredictionVisitor visit =
@@ -288,17 +302,37 @@ TEST(Retention, EngineMissAddsOnlyTheKeyAndTheNodeAndAHitNothing)
             [&] { eng.predictBatchVisit(singles[i], visit, &stats); });
     };
 
-    const unsigned long long miss = maxAllocationsPerRequest(
-        "engine miss, 1 lane", singles.size(), request,
-        [&] { eng.clearCaches(); });
-    EXPECT_LE(miss, kAnalyzeAllocs + kPredictAllocs + kMissExtraAllocs);
+    const std::string missName = std::string("engine miss, ") + name;
+    const std::string hitName = std::string("engine hit, ") + name;
+    EngineAllocs out;
+    out.miss = maxAllocationsPerRequest(missName.c_str(), singles.size(),
+                                        request, [&] { eng.clearCaches(); });
     EXPECT_EQ(stats.analyzed, 2 * singles.size());
 
     // Both passes now hit: the cache holds every request.
-    const unsigned long long hit = maxAllocationsPerRequest(
-        "engine hit, 1 lane", singles.size(), request, [] {});
-    EXPECT_LE(hit, kHitAllocs);
+    out.hit = maxAllocationsPerRequest(hitName.c_str(), singles.size(),
+                                       request, [] {});
     EXPECT_EQ(stats.predictionCacheHits, 2 * singles.size());
+    return out;
+}
+
+TEST(Retention, EngineMissAllocatesOnlyWhatAnalyzeDoesAndAHitNothing)
+{
+    const EngineAllocs a =
+        engineAllocations("1 lane, Payload::None", sets().engine);
+    EXPECT_LE(a.miss, kAnalyzeAllocs + kPredictAllocs + kMissExtraAllocs);
+    EXPECT_LE(a.hit, kHitAllocs);
+}
+
+TEST(Retention, EngineFullPayloadHitAllocatesNothing)
+{
+    // Full hits copy criticalChain and contendingInsts into the lane's
+    // buffer, whose capacity the first pass grows to the longest.
+    std::vector<engine::Request> reqs = sets().engine;
+    for (engine::Request &r : reqs)
+        r.payload = model::Payload::Full;
+    EXPECT_LE(engineAllocations("1 lane, Payload::Full", reqs).hit,
+              kHitAllocs);
 }
 
 TEST(Retention, NeverSeenBlocksLeaveNothingBehind)

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "engine/engine.h"
 #include "eval/harness.h"
 #include "facile/predictor.h"
+#include "server/protocol.h"
 #include "testing/fault.h"
 
 namespace facile {
@@ -362,6 +364,105 @@ TEST(Snapshot, PredictionWithMoreBottlenecksThanComponentsIsRejected)
                                                   {&eng}),
                  analysis::SnapshotError);
     EXPECT_EQ(cacheSize(eng), 0u);
+}
+
+/** The wire codec's encoding of @p p: a snapshot entry's payload. */
+std::vector<std::uint8_t>
+payloadOf(const model::Prediction &p)
+{
+    std::vector<std::uint8_t> frame;
+    server::appendPredictResponse(frame, 0, p);
+    return {frame.begin() + server::kResponseHeaderSize, frame.end()};
+}
+
+/** A double with exactly the bit pattern @p bits. */
+double
+fromBits(std::uint64_t bits)
+{
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+TEST(Snapshot, LoadedEntriesExportExactly)
+{
+    // Entries the cache's fixed-size records must keep exactly, after
+    // a slice of a real save: keys shorter than the header (one of
+    // them hashes like a 4-byte key), chains under a Payload::None
+    // key, NaN payload bits, a bottleneck list out of priority order
+    // with a repeat, and a repeated key, whose first occurrence wins.
+    const std::vector<std::uint8_t> real = smallImage(40);
+    analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(real.data(), real.size());
+    auto add = [&](std::string key, double v,
+                   const auto &edit) {
+        model::Prediction p;
+        p.throughput = v;
+        p.componentValue.fill(v);
+        edit(p);
+        m.predictions.emplace_back(std::move(key), payloadOf(p));
+    };
+    auto none = [](model::Prediction &) {};
+    add("", 1.0, none);
+    add(std::string("\x01", 1), 2.0, none);
+    add(std::string("\x01\x02", 2), 3.0, none);
+    add(std::string("\x01\x02\x00\x00", 4), 4.0, none);
+    // The key a Payload::None TPL request for one NOP on SKL looks up.
+    const engine::Request req{{0x90}, uarch::UArch::SKL, true, {}};
+    const std::uint16_t cfg = req.config.packBits();
+    const std::string noneKey{'\x01', static_cast<char>(cfg & 0xff),
+                              static_cast<char>(cfg >> 8),
+                              static_cast<char>(req.arch), '\x90'};
+    add(noneKey, 5.0, [](model::Prediction &p) {
+        p.criticalChain = {0, 2, 1};
+        p.contendedPorts = 0x2a;
+        p.contendingInsts = {1, -1};
+    });
+    add(std::string("\x00\x00\x00\x03\x90", 5), 6.0,
+        [](model::Prediction &p) {
+            p.throughput = fromBits(0x7ff4000000000123ULL);
+            p.componentValue[0] = fromBits(0x7ff8000000000abcULL);
+            p.componentValue[1] = fromBits(0x7ff0000000000001ULL);
+            p.componentValue[2] = fromBits(0xfff8000000000002ULL);
+            p.componentValue[3] = fromBits(0x8000000000000000ULL);
+            p.componentValue[6] = fromBits(0x7fffffffffffffffULL);
+        });
+    const std::string repeated("\x03\x00\x00\x07\x90", 5);
+    add(repeated, 7.0, [](model::Prediction &p) {
+        p.bottlenecks = {model::Component::Precedence,
+                         model::Component::Predec,
+                         model::Component::Precedence};
+        p.primaryBottleneck = model::Component::Dec;
+    });
+    add(repeated, 8.0, none);
+    add(noneKey, 9.0, none);
+    const std::vector<std::uint8_t> img = analysis::buildSnapshotImage(m);
+
+    std::map<std::string, std::vector<std::uint8_t>> first;
+    for (const auto &[key, payload] : m.predictions)
+        first.emplace(key, payload);
+    engine::PredictionEngine eng({.numThreads = 1});
+    EXPECT_EQ(analysis::loadSnapshotFromMemory(img.data(), img.size(),
+                                               {&eng})
+                  .predictions,
+              m.predictions.size());
+    std::size_t exported = 0;
+    eng.exportPredictionCache(
+        [&](const std::string &key, const model::Prediction &p) {
+            ++exported;
+            const auto it = first.find(key);
+            ASSERT_NE(it, first.end()) << "unexpected key of "
+                                       << key.size() << " bytes";
+            EXPECT_EQ(payloadOf(p), it->second)
+                << "key of " << key.size() << " bytes";
+        });
+    EXPECT_EQ(exported, first.size());
+
+    // The loaded entries also serve: the None key with chains hits.
+    engine::BatchStats bs;
+    const model::Prediction hit = eng.predictOne(req, &bs);
+    EXPECT_EQ(bs.predictionCacheHits, 1u);
+    EXPECT_EQ(payloadOf(hit), first.at(noneKey));
 }
 
 TEST(Snapshot, EveryTruncationRejected)
