@@ -64,7 +64,7 @@ timeComponent(const std::string &name,
 int
 main()
 {
-    const auto &suite = bench::evalSuite();
+    const auto &suite = bhive::defaultSuite();
 
     for (bool loop : {false, true}) {
         std::vector<const std::vector<std::uint8_t> *> blocks;

@@ -55,10 +55,10 @@ main()
     std::printf("\nFacile vs reference simulator speedup (TPU): %.0fx\n",
                 simU / facileU);
 
-    // End-to-end serving rate through the batch engine (same harness
-    // code path as bench_throughput). Caches off: with them on, every
-    // timed pass over the identical batch would be a pure cache lookup
-    // and overstate prediction throughput by an order of magnitude.
+    // End-to-end serving rate through the batch engine. Caches off:
+    // with them on, every timed pass over the identical batch would be
+    // a pure cache lookup and overstate prediction throughput by an
+    // order of magnitude.
     engine::PredictionEngine::Options eopts;
     eopts.cacheEnabled = false;
     engine::PredictionEngine eng(eopts);

@@ -33,7 +33,7 @@ main()
     std::printf("TABLE 2: Comparison of predictors on BHiveU and BHiveL\n");
     std::printf("(%zu benchmarks per notion; ground truth: reference "
                 "simulator)\n",
-                bench::evalSuite().size());
+                bhive::defaultSuite().size());
     bench::printRule();
     std::printf("%-5s %-22s %10s %10s %12s %10s\n", "uArch", "Predictor",
                 "MAPE(U)", "Kendall(U)", "MAPE(L)", "Kendall(L)");

@@ -846,30 +846,39 @@ struct Router::Impl
             throw std::runtime_error("router already running");
         stopping.store(false);
         startTime = Clock::now();
-        epfd = ::epoll_create1(EPOLL_CLOEXEC);
-        if (epfd < 0)
-            throwErrno("epoll_create1");
-        wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-        if (wakeFd < 0)
-            throwErrno("eventfd");
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.ptr = &wakeTag;
-        ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev);
-        if (opts.tcpPort >= 0) {
-            tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
-            ev.data.ptr = &tcpTag;
-            ::epoll_ctl(epfd, EPOLL_CTL_ADD, tcpFd, &ev);
+        // Whatever is open when any step throws is closed, so a failed
+        // start leaves no descriptor and no bound port behind.
+        try {
+            if (opts.tcpPort >= 0)
+                tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
+            if (!opts.unixPath.empty())
+                unixFd = listenUnix(opts.unixPath);
+            epfd = ::epoll_create1(EPOLL_CLOEXEC);
+            if (epfd < 0)
+                throwErrno("epoll_create1");
+            wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+            if (wakeFd < 0)
+                throwErrno("eventfd");
+            epoll_event ev{};
+            ev.events = EPOLLIN;
+            ev.data.ptr = &wakeTag;
+            ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev);
+            if (tcpFd >= 0) {
+                ev.data.ptr = &tcpTag;
+                ::epoll_ctl(epfd, EPOLL_CTL_ADD, tcpFd, &ev);
+            }
+            if (unixFd >= 0) {
+                ev.data.ptr = &unixTag;
+                ::epoll_ctl(epfd, EPOLL_CTL_ADD, unixFd, &ev);
+            }
+            for (std::size_t i = 0; i < backends.size(); ++i)
+                dialBackend(i);
+            thr = std::thread([this] { ioLoop(); });
+        } catch (...) {
+            closeAll();
+            throw;
         }
-        if (!opts.unixPath.empty()) {
-            unixFd = listenUnix(opts.unixPath);
-            ev.data.ptr = &unixTag;
-            ::epoll_ctl(epfd, EPOLL_CTL_ADD, unixFd, &ev);
-        }
-        for (std::size_t i = 0; i < backends.size(); ++i)
-            dialBackend(i);
         running.store(true);
-        thr = std::thread([this] { ioLoop(); });
     }
 
     void
@@ -881,6 +890,13 @@ struct Router::Impl
         signalWakeFd(wakeFd);
         if (thr.joinable())
             thr.join();
+        closeAll();
+    }
+
+    /** Close every descriptor the router holds; unlink its socket. */
+    void
+    closeAll()
+    {
         for (auto &c : clients)
             if (c->open) {
                 ::close(c->fd);

@@ -13,6 +13,12 @@
  * Bodies receive their lane index in [0, size()), so callers can keep
  * per-lane state (scratch buffers, counters) without locks: within
  * one call, no two bodies that run at the same time share a lane.
+ *
+ * Calls are pool-owned and reused. A call is held by its caller, by
+ * each of its wakes still queued, and by each helper inside its run();
+ * the last to let go frees it. The caller withdraws the wakes no
+ * helper took before it returns, and the wake queue links calls
+ * intrusively, so a multi-lane call allocates nothing.
  */
 #ifndef FACILE_ENGINE_THREAD_POOL_H
 #define FACILE_ENGINE_THREAD_POOL_H
@@ -21,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -37,6 +42,10 @@ class ThreadPool
     /** A pool of @p lanes lanes (at least one): lanes - 1 helpers. */
     explicit ThreadPool(int lanes)
     {
+        // Each helper holds at most one call, so one per lane leaves a
+        // lone caller one free; a second concurrent caller may add one.
+        for (int k = 0; lanes > 1 && k < lanes; ++k)
+            calls_.push_back(std::make_unique<Call>());
         for (int lane = 1; lane < lanes; ++lane)
             helpers_.emplace_back([this, lane] { helperLoop(lane); });
     }
@@ -111,44 +120,41 @@ class ThreadPool
             return;
         }
 
-        auto call = std::make_shared<Call>(body, n, chunk, chunks);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (std::size_t k = 0; k < wake; ++k)
-                queue_.push_back(call);
-        }
+        Call &call = startCall(body, n, chunk, chunks, wake);
         for (std::size_t k = 0; k < wake; ++k)
             cv_.notify_one();
-        call->run(0);
+        call.run(0);
         // Every chunk is claimed now; wait only for the ones that
         // helpers are still running.
-        for (int done; (done = call->finished.load(
-                            std::memory_order_acquire)) != call->chunks;)
-            call->finished.wait(done, std::memory_order_acquire);
-        if (call->error)
-            std::rethrow_exception(call->error);
+        for (int done; (done = call.finished.load(
+                            std::memory_order_acquire)) != call.chunks;)
+            call.finished.wait(done, std::memory_order_acquire);
+        std::exception_ptr error = std::move(call.error);
+        finishCall(call);
+        if (error)
+            std::rethrow_exception(error);
     }
 
   private:
     /** One parallelForWorker call, shared by the lanes that join it. */
     struct Call
     {
-        Call(const std::function<void(int, std::size_t)> &b, std::size_t n_,
-             std::size_t chunk_, std::size_t chunks_)
-            : body(b), n(n_), chunk(chunk_), chunks(static_cast<int>(chunks_))
-        {}
-
         /**
          * Valid while chunks remain unclaimed. A helper that joins
          * after the caller returned claims nothing and never calls it.
          */
-        const std::function<void(int, std::size_t)> &body;
-        const std::size_t n, chunk;
-        const int chunks;
+        const std::function<void(int, std::size_t)> *body = nullptr;
+        std::size_t n = 0, chunk = 0;
+        int chunks = 0;
         std::atomic<int> next{0};     ///< next unclaimed chunk
         std::atomic<int> finished{0}; ///< chunks run (or abandoned)
         std::atomic<bool> failed{false};
         std::exception_ptr error; ///< set once, by whoever failed first
+        /** The caller, its queued wakes and its helpers; free at 0. */
+        std::atomic<int> refs{0};
+        /** Wakes queued and not yet taken; changed under mu_ only. */
+        std::atomic<int> queuedWakes{0};
+        Call *nextQueued = nullptr; ///< guarded by mu_
 
         /** Claim and run chunks on @p lane until none is left. */
         void
@@ -164,7 +170,7 @@ class ThreadPool
                     const std::size_t end = std::min(n, begin + chunk);
                     try {
                         for (std::size_t i = begin; i < end; ++i)
-                            body(lane, i);
+                            (*body)(lane, i);
                     } catch (...) {
                         if (!failed.exchange(true,
                                              std::memory_order_relaxed))
@@ -176,7 +182,67 @@ class ThreadPool
                     finished.notify_one();
             }
         }
+
+        /** Let go of one hold; the release pairs with startCall. */
+        void release() { refs.fetch_sub(1, std::memory_order_release); }
     };
+
+    /** Take a free call, set it up and queue its @p wake wakes. */
+    Call &
+    startCall(const std::function<void(int, std::size_t)> &body,
+              std::size_t n, std::size_t chunk, std::size_t chunks,
+              std::size_t wake)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        Call *call = nullptr;
+        for (const auto &c : calls_)
+            if (c->refs.load(std::memory_order_acquire) == 0) {
+                call = c.get();
+                break;
+            }
+        if (!call)
+            call = calls_.emplace_back(std::make_unique<Call>()).get();
+        call->body = &body;
+        call->n = n;
+        call->chunk = chunk;
+        call->chunks = static_cast<int>(chunks);
+        call->next.store(0, std::memory_order_relaxed);
+        call->finished.store(0, std::memory_order_relaxed);
+        call->failed.store(false, std::memory_order_relaxed);
+        call->error = nullptr;
+        call->refs.store(1 + static_cast<int>(wake),
+                         std::memory_order_relaxed);
+        call->queuedWakes.store(static_cast<int>(wake),
+                                std::memory_order_relaxed);
+        call->nextQueued = nullptr;
+        (tail_ ? tail_->nextQueued : head_) = call;
+        tail_ = call;
+        return *call;
+    }
+
+    /**
+     * The caller's end of @p call: withdraw the wakes no helper took
+     * (a helper that takes one now would claim nothing), then let go.
+     */
+    void
+    finishCall(Call &call)
+    {
+        if (call.queuedWakes.load(std::memory_order_relaxed) > 0) {
+            std::lock_guard<std::mutex> lock(mu_);
+            const int left =
+                call.queuedWakes.exchange(0, std::memory_order_relaxed);
+            if (left > 0) {
+                Call *prev = nullptr;
+                for (Call *c = head_; c != &call; c = c->nextQueued)
+                    prev = c;
+                (prev ? prev->nextQueued : head_) = call.nextQueued;
+                if (tail_ == &call)
+                    tail_ = prev;
+                call.refs.fetch_sub(left, std::memory_order_relaxed);
+            }
+        }
+        call.release();
+    }
 
     /** The pool and lane the current thread is running a body for. */
     struct Lane
@@ -197,24 +263,34 @@ class ThreadPool
     {
         currentLane() = {this, lane};
         for (;;) {
-            std::shared_ptr<Call> call;
+            Call *call;
             {
                 std::unique_lock<std::mutex> lock(mu_);
-                cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+                cv_.wait(lock, [&] { return stop_ || head_; });
                 if (stop_)
                     return;
-                call = std::move(queue_.front());
-                queue_.pop_front();
+                // The queue's hold passes to this helper; taking a
+                // call's last wake unlinks it.
+                call = head_;
+                if (call->queuedWakes.fetch_sub(
+                        1, std::memory_order_relaxed) == 1) {
+                    head_ = call->nextQueued;
+                    if (!head_)
+                        tail_ = nullptr;
+                }
             }
             call->run(lane);
+            call->release();
         }
     }
 
     std::mutex mu_;
     std::condition_variable cv_;
-    std::deque<std::shared_ptr<Call>> queue_; ///< guarded by mu_
-    bool stop_ = false;                       ///< guarded by mu_
-    std::vector<std::thread> helpers_;        ///< last: they use the above
+    std::vector<std::unique_ptr<Call>> calls_; ///< guarded by mu_
+    Call *head_ = nullptr;                     ///< wake queue, guarded by mu_
+    Call *tail_ = nullptr;                     ///< guarded by mu_
+    bool stop_ = false;                        ///< guarded by mu_
+    std::vector<std::thread> helpers_;         ///< last: they use the above
 };
 
 } // namespace facile::engine

@@ -1,7 +1,7 @@
 /**
  * @file
  * Cluster-mode tests: rendezvous routing properties and the facile_lb
- * router data plane (bit-identity through backends, id isolation
+ * router data plane (bit-identity through 2, 4 and 8 backends, id isolation
  * across clients, failover on backend death with zero caller-visible
  * failures through a plain Client — no client-side retry).
  */
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -172,9 +173,15 @@ TEST(Membership, RendezvousMovesOnlyTheDeadBackendsKeys)
 
 // ---- router data plane -----------------------------------------------------
 
-TEST(Router, BitIdenticalThroughTwoBackends)
+/**
+ * Every request through a router over @p backends backends is bit
+ * identical to serial predict; every backend serves some of the keys,
+ * and together they serve all of them.
+ */
+void
+expectBitIdenticalThroughBackends(std::size_t backends)
 {
-    Fleet fleet(2);
+    Fleet fleet(backends);
     RouterOptions ro;
     ro.unixPath = freshUnixPath();
     ro.backends = fleet.endpoints;
@@ -199,8 +206,6 @@ TEST(Router, BitIdenticalThroughTwoBackends)
     EXPECT_EQ(rs.routedPredicts, reqs.size());
     EXPECT_EQ(rs.backendFailovers, 0u);
 
-    // The shards really are shards: both backends served some of the
-    // traffic, and together they served all of it.
     std::uint64_t served = 0;
     for (const auto &ep : fleet.endpoints) {
         auto bc = server::Client::connectUnix(ep.path);
@@ -210,6 +215,48 @@ TEST(Router, BitIdenticalThroughTwoBackends)
     }
     EXPECT_EQ(served, reqs.size());
     router.stop();
+}
+
+TEST(Router, BitIdenticalThroughTwoBackends)
+{
+    expectBitIdenticalThroughBackends(2);
+}
+
+TEST(Router, BitIdenticalThroughFourBackends)
+{
+    expectBitIdenticalThroughBackends(4);
+}
+
+TEST(Router, BitIdenticalThroughEightBackends)
+{
+    expectBitIdenticalThroughBackends(8);
+}
+
+/** Entries of /proc/self/fd: the descriptors this process holds. */
+std::size_t
+openDescriptors()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST(Router, FailedStartLeavesNoDescriptorOpen)
+{
+    // The TCP listener binds; then a unix path longer than sun_path
+    // makes start() throw.
+    const std::size_t before = openDescriptors();
+    {
+        RouterOptions ro;
+        ro.tcpPort = 0;
+        ro.unixPath = "/tmp/" + std::string(200, 'r') + ".sock";
+        ro.backends = {parseEndpoint("unix:" + freshUnixPath())};
+        Router router(ro);
+        EXPECT_THROW(router.start(), std::runtime_error);
+    }
+    EXPECT_EQ(openDescriptors(), before);
 }
 
 TEST(Router, ControlOpsAnsweredLocally)

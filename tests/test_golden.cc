@@ -6,10 +6,10 @@
  * seeded bhive draw on all nine microarchitectures, both throughput
  * notions, the default config and one ablation config, and both
  * payload depths. Every path must reproduce the checked-in digest:
- * serial bb::analyze + model::predict, and the engine at 1 and 4 lanes
- * with its caches on (a cold pass, then an all-hit pass) and off. A
- * change anywhere in decode, annotation, the components or the engine
- * that moves one bit of one prediction fails here.
+ * serial bb::analyze + model::predict, and the engine at 1, 2, 4 and 8
+ * lanes with its caches on (a cold pass, then an all-hit pass) and
+ * off. A change anywhere in decode, annotation, the components or the
+ * engine that moves one bit of one prediction fails here.
  *
  * The generated suite never reaches the largest inline arrays of the
  * block IR (it emits no integer DIV/IDIV) or several semantic edges, so
@@ -221,7 +221,7 @@ TEST(Golden, CapacityEdgeBlocks)
 
 TEST(Golden, EngineLanesAndCaches)
 {
-    for (int lanes : {1, 4})
+    for (int lanes : {1, 2, 4, 8})
         for (bool caches : {true, false}) {
             engine::EngineOptions eo;
             eo.numThreads = lanes;

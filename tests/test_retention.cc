@@ -18,7 +18,9 @@
  *     than analyze + predict (kMissExtraAllocs is 0: the entry goes
  *     into chunks that already exist);
  *   - a hit through predictBatchVisit: 0, with Payload::None and with
- *     Payload::Full (the chains are copied into the lane's buffer).
+ *     Payload::Full (the chains are copied into the lane's buffer);
+ *   - a 64-request all-hit batch through a 4-lane engine: 0 over 1,000
+ *     batches (the pool reuses its calls and queues wakes intrusively).
  *
  * Retention: after a warm-up on never-seen blocks, analyzing and
  * predicting 2,000 more never-seen blocks must leave the live
@@ -333,6 +335,36 @@ TEST(Retention, EngineFullPayloadHitAllocatesNothing)
         r.payload = model::Payload::Full;
     EXPECT_LE(engineAllocations("1 lane, Payload::Full", reqs).hit,
               kHitAllocs);
+}
+
+TEST(Retention, MultiLaneHitBatchAllocatesNothing)
+{
+    // Every batch wakes the helpers: 64 requests make 32 chunks.
+    engine::EngineOptions eo;
+    eo.numThreads = 4;
+    engine::PredictionEngine eng(eo);
+    const std::vector<engine::Request> batch(sets().engine.begin(),
+                                             sets().engine.begin() + 64);
+    engine::BatchStats stats;
+    const engine::PredictionEngine::PredictionVisitor visit =
+        [](int, std::size_t, const model::Prediction &p) {
+            EXPECT_GT(p.throughput, 0.0);
+        };
+    // The first batch fills the cache; the rest warm every lane.
+    for (int i = 0; i < 100; ++i)
+        eng.predictBatchVisit(batch, visit, &stats);
+
+    constexpr int kBatches = 1000;
+    stats = {};
+    const unsigned long long allocs = allocationsOf([&] {
+        for (int i = 0; i < kBatches; ++i)
+            eng.predictBatchVisit(batch, visit, &stats);
+    });
+    std::printf("engine hit, 4 lanes, %zu-request batches: %llu "
+                "allocations over %d batches\n",
+                batch.size(), allocs, kBatches);
+    EXPECT_EQ(stats.predictionCacheHits, kBatches * batch.size());
+    EXPECT_EQ(allocs, kHitAllocs);
 }
 
 TEST(Retention, NeverSeenBlocksLeaveNothingBehind)

@@ -2,9 +2,9 @@
  * @file
  * Prediction-server tests: loopback serving over Unix-domain and TCP
  * sockets is bit-identical to serial model::predict across all nine
- * microarchitectures, concurrent clients multiplex correctly through
- * the admission batcher, control ops work, and protocol violations are
- * rejected without poisoning the connection.
+ * microarchitectures, concurrent clients and 256 connections multiplex
+ * correctly through the admission batcher, control ops work, and
+ * protocol violations are rejected without poisoning the connection.
  */
 #include <gtest/gtest.h>
 
@@ -217,11 +217,18 @@ TEST(Server, TcpLoopbackBitIdentical)
     server.stop();
 }
 
-TEST(Server, ConcurrentClientsBitIdentical)
+/**
+ * @p connections connections to one server, held open at once and
+ * driven by @p drivers threads; each driver pipelines the whole batch
+ * through its connections in turn. The admission batcher interleaves
+ * their requests into shared engine batches and must route every
+ * response to its owner (matched by id): every prediction of every
+ * pass is checked bit for bit.
+ */
+void
+expectConcurrentClientsBitIdentical(std::size_t connections,
+                                    std::size_t drivers)
 {
-    // >= 4 concurrent clients hammering the same server; the admission
-    // batcher interleaves their requests into shared engine batches
-    // and must route every response to its owner (matched by id).
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.tcpPort = 0;
@@ -235,49 +242,57 @@ TEST(Server, ConcurrentClientsBitIdentical)
     for (std::size_t i = 0; i < reqs.size(); ++i)
         expected[i] = serialPredict(reqs[i]);
 
-    constexpr int kClients = 5;
+    // Mix transports, and rotate each connection's starting offset so
+    // concurrent batches interleave different requests.
+    std::vector<Client> conns;
+    for (std::size_t c = 0; c < connections; ++c)
+        conns.push_back(c % 2 == 0 ? Client::connectUnix(opts.unixPath)
+                                   : Client::connectTcp("127.0.0.1",
+                                                        server.tcpPort()));
+    auto rotated = [&](std::size_t c, std::size_t i) {
+        return (i + c * 7) % reqs.size();
+    };
+
     std::atomic<int> failures{0};
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
+    std::vector<std::thread> threads;
+    for (std::size_t d = 0; d < drivers; ++d)
+        threads.emplace_back([&, d] {
             try {
-                // Mix transports; rotate each client's starting offset
-                // so concurrent batches interleave different requests.
-                auto client =
-                    (c % 2 == 0)
-                        ? Client::connectUnix(opts.unixPath)
-                        : Client::connectTcp("127.0.0.1",
-                                             server.tcpPort());
-                std::vector<engine::Request> mine;
-                mine.reserve(reqs.size());
-                for (std::size_t i = 0; i < reqs.size(); ++i)
-                    mine.push_back(
-                        reqs[(i + static_cast<std::size_t>(c) * 7) %
-                             reqs.size()]);
-                auto out = client.predictMany(mine);
-                for (std::size_t i = 0; i < mine.size(); ++i)
-                    if (!bitIdentical(
-                            out[i],
-                            expected[(i + static_cast<std::size_t>(c) *
-                                              7) %
-                                     reqs.size()]))
-                        ++failures;
+                std::vector<engine::Request> mine(reqs.size());
+                std::vector<Prediction> out;
+                for (std::size_t c = d; c < connections; c += drivers) {
+                    for (std::size_t i = 0; i < reqs.size(); ++i)
+                        mine[i] = reqs[rotated(c, i)];
+                    conns[c].predictManyInto(mine, out);
+                    for (std::size_t i = 0; i < mine.size(); ++i)
+                        if (!bitIdentical(out[i], expected[rotated(c, i)]))
+                            ++failures;
+                }
             } catch (const std::exception &e) {
-                ADD_FAILURE() << "client " << c << ": " << e.what();
+                ADD_FAILURE() << "driver " << d << ": " << e.what();
                 ++failures;
             }
         });
-    }
-    for (auto &t : clients)
+    for (auto &t : threads)
         t.join();
     EXPECT_EQ(failures.load(), 0);
 
-    ServerStats s = server.stats();
-    EXPECT_EQ(s.predictions,
-              static_cast<std::uint64_t>(kClients) * reqs.size());
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.connectionsAccepted, connections);
+    EXPECT_EQ(s.predictions, connections * reqs.size());
     EXPECT_GE(s.batches, 1u);
-    EXPECT_GE(s.predictionCacheHits, 1u); // clients repeat blocks
+    EXPECT_GE(s.predictionCacheHits, 1u); // connections repeat blocks
     server.stop();
+}
+
+TEST(Server, ConcurrentClientsBitIdentical)
+{
+    expectConcurrentClientsBitIdentical(5, 5);
+}
+
+TEST(Server, ConcurrentClientsBitIdenticalOn256Connections)
+{
+    expectConcurrentClientsBitIdentical(256, 4);
 }
 
 TEST(Server, MalformedBlockFollowsCrashProtocol)
