@@ -3,8 +3,8 @@
  * Shared helpers for the table/figure reproduction binaries: the
  * prepared (simulated) evaluation suite per µarch, and the table rule.
  */
-#ifndef FACILE_BENCH_COMMON_H
-#define FACILE_BENCH_COMMON_H
+#ifndef FACILE_PAPER_BENCH_COMMON_H
+#define FACILE_PAPER_BENCH_COMMON_H
 
 #include <cstdio>
 #include <map>
@@ -39,4 +39,4 @@ printRule(int width = 78)
 
 } // namespace facile::bench
 
-#endif // FACILE_BENCH_COMMON_H
+#endif // FACILE_PAPER_BENCH_COMMON_H

@@ -16,9 +16,10 @@
  *
  * Calls are pool-owned and reused. A call is held by its caller, by
  * each of its wakes still queued, and by each helper inside its run();
- * the last to let go frees it. The caller withdraws the wakes no
- * helper took before it returns, and the wake queue links calls
- * intrusively, so a multi-lane call allocates nothing.
+ * once the last lets go, the next call may reuse it. The caller
+ * withdraws the wakes no helper took before it returns, and the wake
+ * queue links calls intrusively, so a multi-lane call allocates
+ * nothing.
  */
 #ifndef FACILE_ENGINE_THREAD_POOL_H
 #define FACILE_ENGINE_THREAD_POOL_H
@@ -150,7 +151,7 @@ class ThreadPool
         std::atomic<int> finished{0}; ///< chunks run (or abandoned)
         std::atomic<bool> failed{false};
         std::exception_ptr error; ///< set once, by whoever failed first
-        /** The caller, its queued wakes and its helpers; free at 0. */
+        /** Holds: the caller, its queued wakes, its helpers; free at 0. */
         std::atomic<int> refs{0};
         /** Wakes queued and not yet taken; changed under mu_ only. */
         std::atomic<int> queuedWakes{0};
@@ -182,9 +183,6 @@ class ThreadPool
                     finished.notify_one();
             }
         }
-
-        /** Let go of one hold; the release pairs with startCall. */
-        void release() { refs.fetch_sub(1, std::memory_order_release); }
     };
 
     /** Take a free call, set it up and queue its @p wake wakes. */
@@ -196,7 +194,7 @@ class ThreadPool
         std::lock_guard<std::mutex> lock(mu_);
         Call *call = nullptr;
         for (const auto &c : calls_)
-            if (c->refs.load(std::memory_order_acquire) == 0) {
+            if (c->refs == 0) {
                 call = c.get();
                 break;
             }
@@ -210,10 +208,8 @@ class ThreadPool
         call->finished.store(0, std::memory_order_relaxed);
         call->failed.store(false, std::memory_order_relaxed);
         call->error = nullptr;
-        call->refs.store(1 + static_cast<int>(wake),
-                         std::memory_order_relaxed);
-        call->queuedWakes.store(static_cast<int>(wake),
-                                std::memory_order_relaxed);
+        call->refs = 1 + static_cast<int>(wake);
+        call->queuedWakes = static_cast<int>(wake);
         call->nextQueued = nullptr;
         (tail_ ? tail_->nextQueued : head_) = call;
         tail_ = call;
@@ -227,10 +223,9 @@ class ThreadPool
     void
     finishCall(Call &call)
     {
-        if (call.queuedWakes.load(std::memory_order_relaxed) > 0) {
+        if (call.queuedWakes > 0) {
             std::lock_guard<std::mutex> lock(mu_);
-            const int left =
-                call.queuedWakes.exchange(0, std::memory_order_relaxed);
+            const int left = call.queuedWakes.exchange(0);
             if (left > 0) {
                 Call *prev = nullptr;
                 for (Call *c = head_; c != &call; c = c->nextQueued)
@@ -238,10 +233,10 @@ class ThreadPool
                 (prev ? prev->nextQueued : head_) = call.nextQueued;
                 if (tail_ == &call)
                     tail_ = prev;
-                call.refs.fetch_sub(left, std::memory_order_relaxed);
+                call.refs -= left;
             }
         }
-        call.release();
+        --call.refs;
     }
 
     /** The pool and lane the current thread is running a body for. */
@@ -272,15 +267,14 @@ class ThreadPool
                 // The queue's hold passes to this helper; taking a
                 // call's last wake unlinks it.
                 call = head_;
-                if (call->queuedWakes.fetch_sub(
-                        1, std::memory_order_relaxed) == 1) {
+                if (call->queuedWakes-- == 1) {
                     head_ = call->nextQueued;
                     if (!head_)
                         tail_ = nullptr;
                 }
             }
             call->run(lane);
-            call->release();
+            --call->refs;
         }
     }
 

@@ -219,15 +219,15 @@ TEST(Server, TcpLoopbackBitIdentical)
 
 /**
  * @p connections connections to one server, held open at once and
- * driven by @p drivers threads; each driver pipelines the whole batch
- * through its connections in turn. The admission batcher interleaves
+ * driven by @p clientThreads threads; each thread pipelines the whole
+ * batch through its connections in turn. The admission batcher interleaves
  * their requests into shared engine batches and must route every
  * response to its owner (matched by id): every prediction of every
  * pass is checked bit for bit.
  */
 void
 expectConcurrentClientsBitIdentical(std::size_t connections,
-                                    std::size_t drivers)
+                                    std::size_t clientThreads)
 {
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
@@ -255,12 +255,13 @@ expectConcurrentClientsBitIdentical(std::size_t connections,
 
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
-    for (std::size_t d = 0; d < drivers; ++d)
-        threads.emplace_back([&, d] {
+    for (std::size_t t = 0; t < clientThreads; ++t)
+        threads.emplace_back([&, t] {
             try {
                 std::vector<engine::Request> mine(reqs.size());
                 std::vector<Prediction> out;
-                for (std::size_t c = d; c < connections; c += drivers) {
+                for (std::size_t c = t; c < connections;
+                     c += clientThreads) {
                     for (std::size_t i = 0; i < reqs.size(); ++i)
                         mine[i] = reqs[rotated(c, i)];
                     conns[c].predictManyInto(mine, out);
@@ -269,7 +270,7 @@ expectConcurrentClientsBitIdentical(std::size_t connections,
                             ++failures;
                 }
             } catch (const std::exception &e) {
-                ADD_FAILURE() << "driver " << d << ": " << e.what();
+                ADD_FAILURE() << "client thread " << t << ": " << e.what();
                 ++failures;
             }
         });
